@@ -29,6 +29,29 @@ from .systems import (ClosedClass, DynSystem, explicit_class,
 from .words import check_word
 
 
+def _field(obj: dict, key: str, loc: str):
+    if key not in obj:
+        raise SpecFormatError("missing field", f"{loc}.{key}")
+    return obj[key]
+
+
+def _int(value, loc: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise SpecFormatError(f"expected an integer, got {value!r}", loc) from None
+
+
+def _words(values, k: int, loc: str) -> list[str]:
+    out = []
+    for idx, w in enumerate(values):
+        try:
+            out.append(check_word(w, k))
+        except (TypeError, ValueError) as e:
+            raise SpecFormatError(str(e), f"{loc}[{idx}]") from None
+    return out
+
+
 @dataclass
 class SystemSpec:
     alphabet: int
@@ -43,9 +66,10 @@ class SystemSpec:
         if kind == "full":
             return full_class(k, depth)
         if kind == "forbidden_words":
-            return forbidden_window_class(k, depth, [check_word(w, k) for w in self.tree["words"]])
+            words = _words(_field(self.tree, "words", "tree"), k, "tree.words")
+            return forbidden_window_class(k, depth, words)
         if kind == "explicit_nodes":
-            return explicit_class(k, depth, [check_word(w, k) for w in self.tree["nodes"]])
+            return explicit_class(k, depth, _words(_field(self.tree, "nodes", "tree"), k, "tree.nodes"))
         if kind == "stagewise":
             rem = [(int(s), check_word(w, k)) for s, w in self.tree["removals"]]
             return stagewise_class(k, depth, rem, self.stage_horizon)
@@ -60,7 +84,10 @@ class SystemSpec:
         if kind == "identity":
             return builtin_map("identity", k, depth)
         if kind == "column_shift":
-            return builtin_map("column-shift", k, depth, columns=int(m["columns"]))
+            columns = _int(_field(m, "columns", "map"), "map.columns")
+            if columns < 1:
+                raise SpecFormatError("columns must be positive", "map.columns")
+            return builtin_map("column-shift", k, depth, columns=columns)
         if kind == "table":
             table = {check_word(a, k): check_word(b, k) for a, b in m["entries"]}
             built = CodedMap.from_table(k, depth, table, name="table")
@@ -89,13 +116,13 @@ def parse_spec(text: str) -> SystemSpec:
     for key in ("alphabet", "depth", "tree", "map"):
         if key not in data:
             raise SpecFormatError("missing field", key)
-    alphabet = int(data["alphabet"])
+    alphabet = _int(data["alphabet"], "alphabet")
     if alphabet not in (2, 3):
         raise SpecFormatError("alphabet must be 2 or 3", "alphabet")
-    depth = int(data["depth"])
+    depth = _int(data["depth"], "depth")
     if depth < 1:
         raise SpecFormatError("depth must be positive", "depth")
-    return SystemSpec(alphabet, depth, int(data.get("stage_horizon", 0)),
+    return SystemSpec(alphabet, depth, _int(data.get("stage_horizon", 0), "stage_horizon"),
                       dict(data["tree"]), dict(data["map"]))
 
 

@@ -13,6 +13,7 @@ run uniformly over rule-backed and explicit tables.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Callable, Mapping
 
 from .errors import DepthExceeded, ModulusExhausted
@@ -25,24 +26,35 @@ class CodedMap:
     ``moduli`` maps output lengths to witnessed input lengths; only witnessed
     lengths are recorded and :meth:`modulus` raises :class:`ModulusExhausted`
     beyond them.  ``suffix_step`` marks the fast path ``f(σ) = σ[step:]``.
+    ``drop = (l, d)`` marks a variable-drop map: ``f(σ) = σ[min(d(σ↾l), |σ|):]``
+    when ``|σ| ≥ l`` and ``f(σ) = λ`` otherwise, with ``d ≥ 1``; the rule
+    stays the reference and the descriptor only lets searches follow orbits
+    as offsets into σ.
     """
 
     __slots__ = ("k", "depth", "name", "moduli", "shrinking", "suffix_step",
-                 "columns", "_rule", "_memo")
+                 "drop", "columns", "_rule", "_memo", "_mod_keys", "_mod_min")
 
     def __init__(self, k: int, depth: int, rule: Callable[[str], str],
                  moduli: Mapping[int, int], *, shrinking: bool = False,
-                 suffix_step: int | None = None, columns: int | None = None,
-                 name: str = "map"):
+                 suffix_step: int | None = None,
+                 drop: tuple[int, Callable[[str], int]] | None = None,
+                 columns: int | None = None, name: str = "map"):
         self.k = k
         self.depth = depth
         self.name = name
         self.moduli = dict(moduli)
         self.shrinking = shrinking
         self.suffix_step = suffix_step
+        self.drop = drop
         self.columns = columns
         self._rule = rule
         self._memo: dict[str, str] = {}
+        # _mod_min[i] = least witness recorded for any length ≥ _mod_keys[i]
+        self._mod_keys = sorted(self.moduli)
+        self._mod_min = [self.moduli[l] for l in self._mod_keys]
+        for i in range(len(self._mod_min) - 2, -1, -1):
+            self._mod_min[i] = min(self._mod_min[i], self._mod_min[i + 1])
 
     def __repr__(self):
         return f"CodedMap({self.name}, k={self.k}, depth={self.depth})"
@@ -80,13 +92,10 @@ class CodedMap:
         """A witnessed input length forcing outputs of length ≥ ``l``."""
         if l <= 0:
             return 0
-        best = None
-        for rec_l, m in self.moduli.items():
-            if rec_l >= l and (best is None or m < best):
-                best = m
-        if best is None or best > self.depth:
+        i = bisect_left(self._mod_keys, l)
+        if i == len(self._mod_keys) or self._mod_min[i] > self.depth:
             raise ModulusExhausted(l, self.name)
-        return best
+        return self._mod_min[i]
 
     def check(self, max_len: int | None = None) -> list[str]:
         """Exhaustively check the table invariants up to ``max_len``.

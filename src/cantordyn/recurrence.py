@@ -311,24 +311,31 @@ def audit_cover_stages(sys_: DynSystem, stages: list[CoverStage]) -> Report:
                 cur = f.apply(cur) if cur else ""
             if not ok:
                 rep.add("cover-return", tau, f"stage {i}: no return within {s}")
-        ustore = set(st.U)
+        ustore, ulens = set(st.U), sorted({len(u) for u in st.U})
         for v in st.V:
             cur = v
             ok = False
             for n in range(s + 1):
-                if any(cur.startswith(tau) for tau in ustore):
+                if _has_prefix_in(cur, ustore, ulens):
                     ok = True
                     break
                 cur = f.apply(cur) if cur else ""
             if not ok:
                 rep.add("cover-reach", v, f"stage {i}: does not reach U within {s}")
-        vset = set(st.V)
+        vset, vlens = set(st.V), sorted({len(v) for v in st.V})
         for w in iter_members(sys_.space, s):
-            if not any(w.startswith(v) for v in vset):
+            if not _has_prefix_in(w, vset, vlens):
                 rep.add("cover-open", w, f"stage {i}: member not covered by V")
         if idx > 0:
             prev = set(stages[idx - 1].U)
+            plens = sorted({len(q) for q in prev})
             for tau in st.U:
-                if not any(tau != q and tau.startswith(q) for q in prev):
+                if not _has_prefix_in(tau, prev, [t for t in plens if t < len(tau)]):
                     rep.add("cover-nesting", tau, f"stage {i}: no strict U_{i-1} ancestor")
     return rep
+
+
+def _has_prefix_in(word: str, store: set[str], lens: list[int]) -> bool:
+    """Whether some element of ``store`` (whose lengths are ``lens``) is a
+    prefix of ``word``: one lookup per stored length."""
+    return any(word[:t] in store for t in lens if t <= len(word))

@@ -22,8 +22,8 @@ from typing import Callable
 
 from .errors import HorizonExhausted, InconsistentDepth, ModulusExhausted
 from .maps import CodedMap
-from .search import (OrbitAvoidance, PredicateAvoidance, avoidance_class,
-                     death_length, find_member, iter_members)
+from .search import (DropChain, OrbitAvoidance, PredicateAvoidance,
+                     avoidance_class, death_length, find_member, iter_members)
 from .systems import (APCert, APRow, DynSystem, PointApprox, Report,
                       restrict_class, search_ap_row)
 from .words import all_words, words_up_to
@@ -63,9 +63,14 @@ class PiecewiseIterate:
         return got
 
     def induced(self) -> CodedMap:
-        """The induced map, cached so identity comparisons work along chains."""
+        """The induced map, cached so identity comparisons work along chains.
+
+        Over a suffix map ``σ ↦ σ[s:]`` it is a variable-drop map with
+        ``d = s·j``, and carries that descriptor for the searches.
+        """
         if self._induced is None:
             base, l = self.base, self.l
+            s = base.suffix_step
 
             def rule(w: str) -> str:
                 if len(w) < l:
@@ -83,8 +88,9 @@ class PiecewiseIterate:
                 need = max(need, l)
                 if need <= base.depth:
                     moduli[t] = need
+            drop = (l, lambda w: s * self.j(w)) if s else None
             self._induced = CodedMap(base.k, base.depth, rule, moduli,
-                                     shrinking=base.shrinking,
+                                     shrinking=base.shrinking, drop=drop,
                                      name=f"pw(l={l},b={self.b})∘{base.name}")
         return self._induced
 
@@ -237,9 +243,13 @@ class PredicateRequest:
 
 class RequestAvoidance:
     """D₀ condition for a stagewise request: no iterate, up to the word's own
-    length, extends an element enumerated by that stage."""
+    length, extends an element enumerated by that stage.
 
-    __slots__ = ("map", "min_stage", "lens", "label")
+    The incremental check needs every element switched on, so words no
+    longer than the last stage get the full check.
+    """
+
+    __slots__ = ("map", "min_stage", "lens", "label", "_last_stage", "_chain")
 
     def __init__(self, map_: CodedMap, request: OpenRequest):
         self.map = map_
@@ -250,6 +260,8 @@ class RequestAvoidance:
                 self.min_stage[w] = st
         self.lens = sorted({len(w) for w in self.min_stage})
         self.label = f"avoid({request.name})"
+        self._last_stage = max(self.min_stage.values(), default=-1)
+        self._chain = DropChain(map_.drop) if map_.drop else None
 
     def ok(self, word: str) -> bool:
         L = len(word)
@@ -265,7 +277,10 @@ class RequestAvoidance:
             cur = self.map.apply(cur)
         return True
 
-    ok_extension = ok
+    def ok_extension(self, word: str) -> bool:
+        if self._chain is None or len(word) <= self._last_stage:
+            return self.ok(word)
+        return not self._chain.new_hit(word, self.lens, self.min_stage)
 
 
 def meet_or_avoid(sys_: DynSystem, request) -> tuple[Refinement, str]:
@@ -463,7 +478,6 @@ class ApForcingLog:
     stages: list[ApStageRecord] = field(default_factory=list)
     chain: PiecewiseIterate | None = None
     final: DynSystem | None = None
-    raw_bounds: dict | None = None
 
     def to_json(self):
         return [{"kind": st.kind, "label": st.label, "case": st.case,
@@ -479,15 +493,14 @@ def construct_ap_point(sys_: DynSystem, requests: list[OpenRequest], c_max: int 
     almost-periodicity certificate over the original map.
 
     Certificate rows carry the least gap bound that verifies at depth; the
-    forcing-derived bound (periodicity bound times the certificate bound of
-    the chain at that stage) caps the search.
+    log keeps each stage's periodicity bound and the chain's certificate
+    bound at that stage.
     """
     f0 = sys_.map
     N = sys_.depth
     chain = trivial_cert(f0)
     cur = DynSystem(sys_.space, chain.induced())
     log = ApForcingLog()
-    raw_bounds: dict[int, int] = {}
 
     schedule: list[tuple[str, object]] = []
     ri, ci = 0, 1
@@ -513,7 +526,6 @@ def construct_ap_point(sys_: DynSystem, requests: list[OpenRequest], c_max: int 
             i = payload
             res = nbh_periodicity(cur, i)
             cur = DynSystem(res.system.space, cur.map)
-            raw_bounds[i] = res.b * chain.b
             log.stages.append(ApStageRecord("periodicity", f"i={i}", cylinder=i,
                                             return_bound=res.b, chain_bound=chain.b,
                                             avoided=res.avoided))
@@ -537,5 +549,4 @@ def construct_ap_point(sys_: DynSystem, requests: list[OpenRequest], c_max: int 
     cert = APCert(tuple(rows))
     log.chain = chain
     log.final = DynSystem(cur.space, chain.induced())
-    log.raw_bounds = raw_bounds
     return X, cert, log

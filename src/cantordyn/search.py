@@ -2,17 +2,24 @@
 
 Everything here is exhaustive and deterministic: searches expand letters in
 lexicographic order, so "the member found" always means the lexicographically
-least one.  Constraint objects provide a full check ``ok(word)`` and an
-incremental ``ok_extension(word)`` that may assume every proper prefix of the
-word already passed (valid along DFS paths).  For pure suffix maps
-(``f(σ) = σ[s:]``) the incremental form only compares the windows that end at
-the new letter.
+least one.  The searches keep an explicit stack, so Python's recursion limit
+does not bound the working depth.
+
+Constraint objects provide a full check ``ok(word)`` and an incremental
+``ok_extension(word)`` that may assume every proper prefix of the word already
+passed (valid along DFS paths).  For pure suffix maps (``f(σ) = σ[s:]``) the
+incremental form only compares the windows that end at the new letter.  For
+variable-drop maps (:attr:`CodedMap.drop`, which every piecewise iterate of a
+suffix map carries) the orbit of a word is a chain of offsets into it, kept
+per length along the search path by :class:`DropChain`; a one-letter
+extension then only adds the windows that end at the new letter or start at
+the one offset the extension may add to the chain.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Iterable, Sequence
+from typing import Callable, Container, Iterable, Iterator, Sequence
 
 from .maps import CodedMap
 from .systems import ClosedClass, restrict_class
@@ -37,23 +44,95 @@ def parallel_map(fn, items: Sequence):
         return list(pool.map(fn, items))
 
 
+class DropChain:
+    """Orbit offsets of the words on one search path under a variable-drop
+    map ``f(σ) = σ[min(d(σ↾l), |σ|):]`` (see :attr:`CodedMap.drop`).
+
+    The orbit of σ is ``σ[p:]`` over the offsets ``p`` of a chain that starts
+    at 0 and steps from ``p`` to ``p + d(σ[p:p+l])`` once ``σ[p:]`` has at
+    least ``l`` letters, followed by λ.  Extending σ by one letter keeps every
+    offset and adds at most one: the frontier of the chain enters the word,
+    or the last offset's block of ``l`` letters just completed.
+
+    Entry ``L`` of the path holds a word of length ``L``, its offsets as a
+    bitmask and the chain's frontier (the last offset reached: inside the
+    word with fewer than ``l`` letters after it, or at least ``L``).  An entry
+    is reused only for an extension of its own word, so results never depend
+    on call order, and the path holds at most one entry per length.
+    """
+
+    __slots__ = ("l", "d", "_path")
+
+    def __init__(self, drop: tuple[int, Callable[[str], int]]):
+        self.l, self.d = drop
+        self._path: dict[int, tuple[str, int, int]] = {}
+
+    def _walk(self, word: str) -> tuple[int, int]:
+        """Offsets bitmask and frontier of ``word``, from scratch."""
+        L, l, d = len(word), self.l, self.d
+        mask = f = 0
+        while f < L:
+            mask |= 1 << f
+            if f + l > L:
+                break
+            f += d(word[f:f + l])
+        return mask, f
+
+    def _advance(self, word: str) -> tuple[int, int]:
+        """Offsets bitmask of a nonempty ``word`` and the offset its last
+        letter added to the chain (−1 when it added none)."""
+        L = len(word)
+        prev = self._path.get(L - 1)
+        if prev is not None and word.startswith(prev[0]):
+            _, mask, f = prev
+        else:
+            mask, f = self._walk(word[:-1])
+        new = -1
+        if f == L - 1:
+            mask |= 1 << f
+            new = f
+        l, d = self.l, self.d
+        while f < L and f + l <= L:
+            f += d(word[f:f + l])
+            if f < L:
+                mask |= 1 << f
+                new = f
+        self._path[L] = (word, mask, f)
+        return mask, new
+
+    def new_hit(self, word: str, lens: Sequence[int], words: Container[str]) -> bool:
+        """Whether a window of the orbit of ``word`` that the orbit of
+        ``word[:-1]`` lacks is in ``words`` (of the given lengths): one that
+        ends at the new letter, or one that starts at the added offset."""
+        mask, new = self._advance(word)
+        L = len(word)
+        for t in lens:
+            p = L - t
+            if p >= 0 and mask >> p & 1 and word[p:] in words:
+                return True
+            if 0 <= new <= p and word[new:new + t] in words:
+                return True
+        return False
+
+
 class OrbitAvoidance:
     """The forever-avoidance condition ``∀n ≤ |σ|: f^n(σ) ⊉ τ`` for τ in a
     finite forbidden set.  Downward closed and forward invariant for
     normalized maps."""
 
-    __slots__ = ("map", "by_len", "lens", "label", "_suffix")
+    __slots__ = ("map", "words", "lens", "label", "_suffix", "_chain")
 
     def __init__(self, map_: CodedMap, forbidden: Iterable[str], label: str = ""):
         self.map = map_
         forb = sorted(set(forbidden))
+        self.words = frozenset(forb)
         self.lens = sorted({len(w) for w in forb})
-        self.by_len = {t: frozenset(w for w in forb if len(w) == t) for t in self.lens}
         self.label = label or f"avoid({','.join(forb)})"
         self._suffix = map_.suffix_step if map_.suffix_step else None
+        self._chain = DropChain(map_.drop) if map_.drop else None
 
     def _hit(self, word: str) -> bool:
-        return any(len(word) >= t and word[:t] in self.by_len[t] for t in self.lens)
+        return any(len(word) >= t and word[:t] in self.words for t in self.lens)
 
     def ok(self, word: str) -> bool:
         if not self.lens:
@@ -70,13 +149,15 @@ class OrbitAvoidance:
     def ok_extension(self, word: str) -> bool:
         s = self._suffix
         if s is None:
-            return self.ok(word)
+            if self._chain is None or not word:
+                return self.ok(word)
+            return not self._chain.new_hit(word, self.lens, self.words)
         if s == 0:
             return not self._hit(word)
         L = len(word)
         for t in self.lens:
             off = L - t
-            if off >= 0 and off % s == 0 and word[off:] in self.by_len[t]:
+            if off >= 0 and off % s == 0 and word[off:] in self.words:
                 return False
         return True
 
@@ -150,72 +231,60 @@ class LetterAt:
         return a is None or word[-1] == a
 
 
+def _live_nodes(space: ClosedClass, cap: int, constraints: Sequence) -> Iterator[str]:
+    """Every word of length ≤ ``cap`` that passes the class and constraint
+    checks along with all its prefixes, in depth-first lexicographic
+    preorder.  Each word is checked once, right after its parent is
+    yielded, so the checks may be incremental."""
+
+    step = space.member_step
+    if not (step("") and all(c.ok_extension("") for c in constraints)):
+        return
+    yield ""
+    alpha = letters(space.k)
+    stack = [("", iter(alpha))] if cap > 0 else []
+    while stack:
+        w, rest = stack[-1]
+        for a in rest:
+            u = w + a
+            if step(u) and all(c.ok_extension(u) for c in constraints):
+                yield u
+                if len(u) < cap:
+                    stack.append((u, iter(alpha)))
+                break
+        else:
+            stack.pop()
+
+
 def find_member(space: ClosedClass, length: int, constraints: Sequence = ()) -> str | None:
     """Lexicographically least member of the given length satisfying every
     constraint, or None."""
-    alpha = letters(space.k)
-    if not (space.member_step("") and all(c.ok_extension("") for c in constraints)):
-        return None
-
-    def rec(w: str) -> str | None:
+    for w in _live_nodes(space, length, constraints):
         if len(w) == length:
             return w
-        for a in alpha:
-            u = w + a
-            if space.member_step(u) and all(c.ok_extension(u) for c in constraints):
-                r = rec(u)
-                if r is not None:
-                    return r
-        return None
-
-    return rec("")
+    return None
 
 
 def iter_members(space: ClosedClass, length: int, constraints: Sequence = (),
                  limit: int | None = None) -> list[str]:
     """All members of the given length (lexicographic order), up to ``limit``."""
-    alpha = letters(space.k)
     out: list[str] = []
-    if not (space.member_step("") and all(c.ok_extension("") for c in constraints)):
-        return out
-
-    def rec(w: str) -> bool:
+    for w in _live_nodes(space, length, constraints):
         if len(w) == length:
             out.append(w)
-            return limit is not None and len(out) >= limit
-        for a in alpha:
-            u = w + a
-            if space.member_step(u) and all(c.ok_extension(u) for c in constraints):
-                if rec(u):
-                    return True
-        return False
-
-    rec("")
+            if limit is not None and len(out) >= limit:
+                break
     return out
 
 
 def last_live_length(space: ClosedClass, cap: int, constraints: Sequence = ()) -> int:
     """Largest ``n ≤ cap`` with a surviving word of length ``n`` (−1 if even
     the root fails)."""
-    alpha = letters(space.k)
-    if not (space.member_step("") and all(c.ok_extension("") for c in constraints)):
-        return -1
-    best = 0
-
-    def rec(w: str):
-        nonlocal best
-        if len(w) == cap:
-            return
-        for a in alpha:
-            u = w + a
-            if space.member_step(u) and all(c.ok_extension(u) for c in constraints):
-                if len(u) > best:
-                    best = len(u)
-                if best == cap:
-                    return
-                rec(u)
-
-    rec("")
+    best = -1
+    for w in _live_nodes(space, cap, constraints):
+        best = max(best, len(w))
+        if best == cap:
+            break
     return best
 
 

@@ -187,6 +187,24 @@ class TestCommands:
         p.write_text("{broken")
         assert main(["validate", str(p)]) == 2
 
+    @pytest.mark.parametrize("spec, location", [
+        (dict(GOLDEN, tree={"kind": "forbidden_words"}), "tree.words"),
+        (dict(GOLDEN, map={"kind": "column_shift"}), "map.columns"),
+        (dict(GOLDEN, alphabet="x"), "alphabet"),
+        (dict(GOLDEN, tree={"kind": "forbidden_words", "words": ["12"]}), "tree.words[0]"),
+    ], ids=["no-words", "no-columns", "alphabet-x", "letter-2"])
+    def test_malformed_spec_exit_code(self, tmp_path, capsys, spec, location):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(spec))
+        assert main(["validate", str(p)]) == 2
+        assert f"error: {location}:" in capsys.readouterr().err
+
+    def test_validate_depth_1500(self, tmp_path):
+        p = tmp_path / "deep.json"
+        p.write_text(json.dumps(dict(GOLDEN, depth=1500, tree={"kind": "full"})))
+        code, rep = run_to_json(["validate", str(p)], tmp_path, "deep-out.json")
+        assert code == 0 and rep["verified"]
+
 
 def _stable(report: dict) -> str:
     report = dict(report)

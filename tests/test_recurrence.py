@@ -8,6 +8,7 @@ from cantordyn.recurrence import (audit_cover_stages, build_ternary_gadget,
                                   construct_recurrent_point,
                                   gadget_recurrent_equals_paths,
                                   gadget_recurrent_set)
+from cantordyn.search import iter_members
 from cantordyn.systems import (ClosedClass, DynSystem, explicit_class,
                                full_class, forbidden_window_class,
                                validate_system, verify_recurrence)
@@ -141,8 +142,46 @@ class TestCoverAudit:
         assert audit_cover_stages(full_shift12, stages).ok
         assert not audit_cover_stages(full_shift12, tampered).ok
 
+    def test_prefix_lookups_match_linear_scans(self, full_shift12):
+        # on tampered stages the audit reports exactly what scanning every
+        # stored word for a prefix reports, in the same order
+        _, _, stages = construct_recurrent_point(full_shift12, stages=3, c_max=2)
+        rng = random.Random(5)
+        for _ in range(20):
+            tampered = list(stages)
+            idx = rng.randrange(1, len(stages))
+            st = tampered[idx]
+            U = tuple(w for w in st.U if rng.random() < 0.7) + ("1" * rng.randint(1, 4),)
+            V = tuple(w for w in st.V if rng.random() < 0.7)
+            tampered[idx] = type(st)(st.i, st.s, U, V)
+            got = audit_cover_stages(full_shift12, tampered).entries
+            assert got == _linear_scan_violations(full_shift12, tampered)
+
     def test_nesting(self, full_shift12):
         _, _, stages = construct_recurrent_point(full_shift12, stages=3, c_max=2)
         for prev, cur in zip(stages, stages[1:]):
             for tau in cur.U:
                 assert any(tau != q and tau.startswith(q) for q in prev.U)
+
+
+def _linear_scan_violations(sys_, stages):
+    """Reference audit that scans every stored word for a prefix."""
+    f = sys_.map
+    out = []
+    for idx, st in enumerate(stages):
+        i, s, p = st.i, st.s, max(st.i - 1, 0)
+        for tau in st.U:
+            if not any(n >= p and len(o) >= p and o.startswith(tau[:p])
+                       for n, o in enumerate(f.orbit(tau, s))):
+                out.append(("cover-return", tau, f"stage {i}: no return within {s}"))
+        for v in st.V:
+            if not any(o.startswith(u) for o in f.orbit(v, s) for u in st.U):
+                out.append(("cover-reach", v, f"stage {i}: does not reach U within {s}"))
+        for w in iter_members(sys_.space, s):
+            if not any(w.startswith(v) for v in st.V):
+                out.append(("cover-open", w, f"stage {i}: member not covered by V"))
+        if idx > 0:
+            for tau in st.U:
+                if not any(tau != q and tau.startswith(q) for q in stages[idx - 1].U):
+                    out.append(("cover-nesting", tau, f"stage {i}: no strict U_{i - 1} ancestor"))
+    return out

@@ -123,6 +123,20 @@ class TestIterateMap:
         with pytest.raises(ModulusExhausted):
             m3.modulus(7)
 
+    @given(st.dictionaries(st.integers(0, 12), st.integers(0, 14), max_size=8),
+           st.integers(-1, 14))
+    @settings(max_examples=200, deadline=None)
+    def test_modulus_is_least_witness_at_or_above(self, moduli, l):
+        m = CodedMap(2, 10, lambda w: w[1:], moduli)
+        best = min((w for rec, w in moduli.items() if rec >= l), default=None)
+        if l <= 0:
+            assert m.modulus(l) == 0
+        elif best is None or best > 10:
+            with pytest.raises(ModulusExhausted):
+                m.modulus(l)
+        else:
+            assert m.modulus(l) == best
+
     def test_zero_power(self, random_map8):
         m0 = iterate_map(random_map8, 0)
         assert m0.apply("0101") == "0101"
