@@ -10,9 +10,9 @@ independent verifier re-checks.
 from .errors import (CantorDynError, DepthExceeded, EmptyClassError,
                      HorizonExhausted, InconsistentDepth, ModulusExhausted,
                      NotMinimal, SpecFormatError, UndecidedAtDepth)
-from .maps import CodedMap, IterateTable, builtin_map, iterate, iterate_map, normalize
+from .maps import CodedMap, builtin_map, iterate_map, normalize
 from .systems import (APCert, APRow, ClosedClass, DynSystem, PointApprox,
-                      RecCert, Report, cylinder_class, explicit_class,
+                      RecCert, Report, explicit_class,
                       forbidden_window_class, full_class, orbit_class,
                       rec_cert_from_ap, restrict_class, stagewise_class,
                       validate_system, verify_ap, verify_recurrence, orbit)
@@ -26,7 +26,7 @@ from .avoidance import (DodgeOutcome, SigmaSequence, build_dodging_class,
                         enumerate_periodic_points, verify_not_ap)
 from .refinement import (OpenRequest, Phi1Predicate, PiecewiseIterate,
                          PredicateRequest, Refinement, check_refinement_cert,
-                         compose, construct_ap_point, induced_map,
+                         compose, construct_ap_point,
                          least_element_forcing, meet_or_avoid, nbh_periodicity,
                          return_bound_check, trivial_cert)
 

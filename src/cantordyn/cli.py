@@ -26,7 +26,7 @@ from .search import find_member, iter_members
 from .systems import (ClosedClass, DynSystem, explicit_class,
                       forbidden_window_class, full_class, stagewise_class,
                       validate_system, verify_ap, verify_recurrence)
-from .words import check_word
+from .words import all_words, check_word
 
 
 def _field(obj: dict, key: str, loc: str):
@@ -42,14 +42,15 @@ def _int(value, loc: str) -> int:
         raise SpecFormatError(f"expected an integer, got {value!r}", loc) from None
 
 
+def _word(value, k: int, loc: str) -> str:
+    try:
+        return check_word(value, k)
+    except (TypeError, ValueError) as e:
+        raise SpecFormatError(str(e), loc) from None
+
+
 def _words(values, k: int, loc: str) -> list[str]:
-    out = []
-    for idx, w in enumerate(values):
-        try:
-            out.append(check_word(w, k))
-        except (TypeError, ValueError) as e:
-            raise SpecFormatError(str(e), f"{loc}[{idx}]") from None
-    return out
+    return [_word(w, k, f"{loc}[{idx}]") for idx, w in enumerate(values)]
 
 
 @dataclass
@@ -71,7 +72,8 @@ class SystemSpec:
         if kind == "explicit_nodes":
             return explicit_class(k, depth, _words(_field(self.tree, "nodes", "tree"), k, "tree.nodes"))
         if kind == "stagewise":
-            rem = [(int(s), check_word(w, k)) for s, w in self.tree["removals"]]
+            rem = [(_int(s, f"tree.removals[{i}]"), _word(w, k, f"tree.removals[{i}]"))
+                   for i, (s, w) in enumerate(_field(self.tree, "removals", "tree"))]
             return stagewise_class(k, depth, rem, self.stage_horizon)
         raise SpecFormatError(f"unknown tree kind {kind!r}", "tree.kind")
 
@@ -89,13 +91,27 @@ class SystemSpec:
                 raise SpecFormatError("columns must be positive", "map.columns")
             return builtin_map("column-shift", k, depth, columns=columns)
         if kind == "table":
-            table = {check_word(a, k): check_word(b, k) for a, b in m["entries"]}
-            built = CodedMap.from_table(k, depth, table, name="table")
+            table = {_word(a, k, f"map.entries[{i}]"): _word(b, k, f"map.entries[{i}]")
+                     for i, (a, b) in enumerate(_field(m, "entries", "map"))}
+            try:
+                built = CodedMap.from_table(k, depth, table, name="table")
+            except ValueError as e:
+                raise SpecFormatError(str(e), "map.entries") from None
             return built if built.shrinking else normalize(built)
         if kind == "piecewise":
-            base = self.build_map(m["base"])
-            jtab = {check_word(w, k): int(v) for w, v in m["j"]}
-            l, b = int(m["l"]), int(m["b"])
+            base = self.build_map(_field(m, "base", "map"))
+            l, b = _int(_field(m, "l", "map"), "map.l"), _int(_field(m, "b", "map"), "map.b")
+            if l < 0 or b < 1:
+                raise SpecFormatError("need l >= 0 and b >= 1", "map")
+            jtab = {}
+            for i, (w, v) in enumerate(_field(m, "j", "map")):
+                loc = f"map.j[{i}]"
+                v = jtab[_word(w, k, loc)] = _int(v, loc)
+                if not 1 <= v <= b:
+                    raise SpecFormatError(f"exponent {v} outside 1..{b}", loc)
+            missing = next((w for w in all_words(k, l) if w not in jtab), None)
+            if missing is not None:
+                raise SpecFormatError(f"no exponent for {missing!r}", "map.j")
             cert = ref.PiecewiseIterate(l, b, base, jtab.__getitem__)
             return cert.induced()
         raise SpecFormatError(f"unknown map kind {kind!r}", "map.kind")
@@ -169,7 +185,9 @@ def load_requests(path: str) -> list[ref.OpenRequest]:
         if "words" in item:
             out.append(ref.OpenRequest.static(name, item["words"]))
         elif "stages" in item:
-            out.append(ref.OpenRequest(name, tuple((int(s), w) for s, w in item["stages"])))
+            out.append(ref.OpenRequest(name, tuple(
+                (_int(s, f"requests[{idx}].stages[{i}]"), w)
+                for i, (s, w) in enumerate(item["stages"]))))
         else:
             raise SpecFormatError("request needs 'words' or 'stages'", f"requests[{idx}]")
     return out
@@ -178,8 +196,9 @@ def load_requests(path: str) -> list[ref.OpenRequest]:
 def load_sim(path: str) -> mnl.HaltingSim:
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
-    bits = tuple((int(n), (None if t is None else int(t))) for n, t in data["bits"])
-    return mnl.HaltingSim(bits, int(data["stage_horizon"]))
+    bits = tuple((_int(n, f"sim.bits[{i}]"), None if t is None else _int(t, f"sim.bits[{i}]"))
+                 for i, (n, t) in enumerate(_field(data, "bits", "sim")))
+    return mnl.HaltingSim(bits, _int(_field(data, "stage_horizon", "sim"), "sim.stage_horizon"))
 
 
 PHI_REGISTRY = {

@@ -151,29 +151,6 @@ class CodedMap:
         return cls(k, depth, tbl.__getitem__, moduli, shrinking=shrinking, name=name)
 
 
-class IterateTable:
-    """Memoized table of ``(σ, n) ↦ f^n(σ)`` for a fixed base map."""
-
-    def __init__(self, base: CodedMap, horizon: int | None = None):
-        self.base = base
-        self.horizon = base.depth if horizon is None else horizon
-        self._orbits: dict[str, list[str]] = {}
-
-    def get(self, word: str, n: int) -> str:
-        if n > self.horizon:
-            raise DepthExceeded(f"iterate count {n} beyond horizon {self.horizon}")
-        orb = self._orbits.get(word)
-        if orb is None:
-            orb = self.base.orbit(word, self.horizon)
-            self._orbits[word] = orb
-        return orb[n]
-
-
-def iterate(m: CodedMap, word: str, n: int) -> str:
-    """``f^n(word)`` for a normalized map; words consumed to λ stay λ."""
-    return m.iterate(word, n)
-
-
 def normalize(m: CodedMap) -> CodedMap:
     """The shrinking map encoding the same transformation.
 

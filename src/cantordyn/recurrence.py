@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .errors import EmptyClassError, HorizonExhausted
 from .maps import CodedMap
-from .search import CylinderCompat, find_member, iter_members, parallel_map
+from .search import CylinderCompat, find_member, iter_members
 from .systems import ClosedClass, DynSystem, PointApprox, RecCert, Report, full_class
 from .words import all_words, letters
 
@@ -53,17 +53,15 @@ def build_ternary_gadget(tree: ClosedClass) -> TernaryGadget:
     pi_memo: dict[str, str | None] = {"": None}
 
     def shortest_off_tree(w: str) -> str | None:
-        got = pi_memo.get(w)
-        if got is not None or w in pi_memo:
-            return got
-        parent = shortest_off_tree(w[:-1])
-        if parent is not None:
-            res = parent
-        elif w[-1] != "2" and tree.member(w):
-            res = None
-        else:
-            res = w
-        pi_memo[w] = res
+        n = len(w)
+        while w[:n] not in pi_memo:
+            n -= 1
+        res = pi_memo[w[:n]]
+        for m in range(n + 1, len(w) + 1):
+            u = w[:m]
+            if res is None and (u[-1] == "2" or not tree.member(u)):
+                res = u
+            pi_memo[u] = res
         return res
 
     def rule(w: str) -> str:
@@ -108,9 +106,8 @@ def gadget_recurrent_set(tree: ClosedClass, scan_depth: int) -> set[str]:
         raise ValueError("tree depth must be at least 2*scan_depth + 1 for the oracle")
     gadget = build_ternary_gadget(tree)
     f = gadget.system.map
-    scan = list(all_words(3, scan_depth))
-    flags = parallel_map(lambda w: _padded_certifies(f, w, tree.depth, scan_depth), scan)
-    return {w for w, ok in zip(scan, flags) if ok}
+    return {w for w in all_words(3, scan_depth)
+            if _padded_certifies(f, w, tree.depth, scan_depth)}
 
 
 def gadget_recurrent_equals_paths(tree: ClosedClass, scan_depth: int) -> bool:

@@ -22,8 +22,8 @@ from typing import Callable
 
 from .errors import HorizonExhausted, InconsistentDepth, ModulusExhausted
 from .maps import CodedMap
-from .search import (DropChain, OrbitAvoidance, PredicateAvoidance,
-                     avoidance_class, death_length, find_member, iter_members)
+from .search import (OrbitAvoidance, PredicateAvoidance, avoidance_class,
+                     death_length, find_member, iter_members)
 from .systems import (APCert, APRow, DynSystem, PointApprox, Report,
                       restrict_class, search_ap_row)
 from .words import all_words, words_up_to
@@ -104,10 +104,6 @@ class PiecewiseIterate:
 def trivial_cert(base: CodedMap) -> PiecewiseIterate:
     """The subsystem certificate: one iterate everywhere (g = f)."""
     return PiecewiseIterate(0, 1, base, lambda w: 1)
-
-
-def induced_map(cert: PiecewiseIterate) -> CodedMap:
-    return cert.induced()
 
 
 def compose(outer: PiecewiseIterate, inner: PiecewiseIterate) -> PiecewiseIterate:
@@ -208,7 +204,8 @@ def return_bound_check(r: Refinement, X: PointApprox) -> bool:
 
 @dataclass(frozen=True)
 class OpenRequest:
-    """A stagewise enumerated set of strings; ``at(s)`` is cumulative."""
+    """A stagewise enumerated set of strings: ``entries`` are ``(stage, word)``
+    pairs, and the set at stage ``s`` holds every word enumerated by then."""
 
     name: str
     entries: tuple[tuple[int, str], ...]
@@ -216,9 +213,6 @@ class OpenRequest:
     @staticmethod
     def static(name: str, words) -> "OpenRequest":
         return OpenRequest(name, tuple((0, w) for w in sorted(set(words))))
-
-    def at(self, s: int) -> frozenset[str]:
-        return frozenset(w for st, w in self.entries if st <= s)
 
     def short_elements(self, s: int, k: int) -> list[str]:
         return sorted(w for st, w in self.entries if st <= s and len(w) <= s)
@@ -241,46 +235,21 @@ class PredicateRequest:
         return PredicateAvoidance(f, self.pred, label=f"avoid({self.name})")
 
 
-class RequestAvoidance:
+class RequestAvoidance(OrbitAvoidance):
     """D₀ condition for a stagewise request: no iterate, up to the word's own
-    length, extends an element enumerated by that stage.
+    length, extends an element enumerated by that stage.  Each element
+    switches on at the least stage that enumerates it."""
 
-    The incremental check needs every element switched on, so words no
-    longer than the last stage get the full check.
-    """
-
-    __slots__ = ("map", "min_stage", "lens", "label", "_last_stage", "_chain")
+    __slots__ = ()
+    # own bindings: the benchmark tracer patches these per class, by name
+    ok = OrbitAvoidance.ok
+    ok_extension = OrbitAvoidance.ok_extension
 
     def __init__(self, map_: CodedMap, request: OpenRequest):
-        self.map = map_
-        self.min_stage: dict[str, int] = {}
+        stage: dict[str, int] = {}
         for st, w in request.entries:
-            cur = self.min_stage.get(w)
-            if cur is None or st < cur:
-                self.min_stage[w] = st
-        self.lens = sorted({len(w) for w in self.min_stage})
-        self.label = f"avoid({request.name})"
-        self._last_stage = max(self.min_stage.values(), default=-1)
-        self._chain = DropChain(map_.drop) if map_.drop else None
-
-    def ok(self, word: str) -> bool:
-        L = len(word)
-        cur = word
-        for _ in range(L + 1):
-            for t in self.lens:
-                if len(cur) >= t:
-                    st = self.min_stage.get(cur[:t])
-                    if st is not None and st <= L:
-                        return False
-            if not cur:
-                break
-            cur = self.map.apply(cur)
-        return True
-
-    def ok_extension(self, word: str) -> bool:
-        if self._chain is None or len(word) <= self._last_stage:
-            return self.ok(word)
-        return not self._chain.new_hit(word, self.lens, self.min_stage)
+            stage[w] = min(st, stage.get(w, st))
+        super().__init__(map_, stage, label=f"avoid({request.name})")
 
 
 def meet_or_avoid(sys_: DynSystem, request) -> tuple[Refinement, str]:

@@ -7,41 +7,26 @@ does not bound the working depth.
 
 Constraint objects provide a full check ``ok(word)`` and an incremental
 ``ok_extension(word)`` that may assume every proper prefix of the word already
-passed (valid along DFS paths).  For pure suffix maps (``f(σ) = σ[s:]``) the
-incremental form only compares the windows that end at the new letter.  For
-variable-drop maps (:attr:`CodedMap.drop`, which every piecewise iterate of a
-suffix map carries) the orbit of a word is a chain of offsets into it, kept
-per length along the search path by :class:`DropChain`; a one-letter
-extension then only adds the windows that end at the new letter or start at
-the one offset the extension may add to the chain.
+passed (valid along DFS paths).  :class:`OrbitAvoidance` is the one
+finite-set orbit-avoidance condition: a fixed forbidden set is a stagewise
+request whose words all switch on at stage 0, and once every word is on, a
+request takes the same incremental paths.  For pure suffix maps
+(``f(σ) = σ[s:]``) the incremental form only compares the windows that end at
+the new letter.  For variable-drop maps (:attr:`CodedMap.drop`, which every
+piecewise iterate of a suffix map carries) the orbit of a word is a chain of
+offsets into it, kept per length along the search path by
+:class:`DropChain`; a one-letter extension then only adds the windows that
+end at the new letter or start at the one offset the extension may add to
+the chain.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Callable, Container, Iterable, Iterator, Sequence
+from typing import Callable, Container, Iterable, Iterator, Mapping, Sequence
 
 from .maps import CodedMap
 from .systems import ClosedClass, restrict_class
 from .words import letters
-
-
-def scan_width() -> int:
-    """Parallel scan width cap from CANTORDYN_THREADS (default 1)."""
-    try:
-        return max(1, int(os.environ.get("CANTORDYN_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def parallel_map(fn, items: Sequence):
-    """Order-preserving map honouring the CANTORDYN_THREADS cap."""
-    width = min(scan_width(), len(items)) if items else 1
-    if width <= 1:
-        return [fn(x) for x in items]
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=width) as pool:
-        return list(pool.map(fn, items))
 
 
 class DropChain:
@@ -117,47 +102,56 @@ class DropChain:
 
 class OrbitAvoidance:
     """The forever-avoidance condition ``∀n ≤ |σ|: f^n(σ) ⊉ τ`` for τ in a
-    finite forbidden set.  Downward closed and forward invariant for
-    normalized maps."""
+    finite forbidden set whose words may switch on in stages: τ counts
+    against σ once its stage is at most ``|σ|``.  A plain iterable of words
+    puts every word at stage 0.  Downward closed and forward invariant for
+    normalized maps.
 
-    __slots__ = ("map", "words", "lens", "label", "_suffix", "_chain")
+    The incremental check needs every word switched on, so words no longer
+    than the last stage get the full check.
+    """
 
-    def __init__(self, map_: CodedMap, forbidden: Iterable[str], label: str = ""):
+    __slots__ = ("map", "stage", "lens", "label", "_last_stage", "_suffix", "_chain")
+
+    def __init__(self, map_: CodedMap, forbidden: Iterable[str] | Mapping[str, int],
+                 label: str = ""):
         self.map = map_
-        forb = sorted(set(forbidden))
-        self.words = frozenset(forb)
-        self.lens = sorted({len(w) for w in forb})
-        self.label = label or f"avoid({','.join(forb)})"
+        self.stage = (dict(forbidden) if isinstance(forbidden, Mapping)
+                      else dict.fromkeys(forbidden, 0))
+        self.lens = sorted({len(w) for w in self.stage})
+        self.label = label or f"avoid({','.join(sorted(self.stage))})"
+        self._last_stage = max(self.stage.values(), default=0)
         self._suffix = map_.suffix_step if map_.suffix_step else None
         self._chain = DropChain(map_.drop) if map_.drop else None
-
-    def _hit(self, word: str) -> bool:
-        return any(len(word) >= t and word[:t] in self.words for t in self.lens)
 
     def ok(self, word: str) -> bool:
         if not self.lens:
             return True
+        L = len(word)
         cur = word
-        for _ in range(len(word) + 1):
-            if self._hit(cur):
-                return False
+        for _ in range(L + 1):
+            for t in self.lens:
+                if len(cur) >= t:
+                    st = self.stage.get(cur[:t])
+                    if st is not None and st <= L:
+                        return False
             if not cur:
                 break
             cur = self.map.apply(cur)
         return True
 
     def ok_extension(self, word: str) -> bool:
+        L = len(word)
+        if L <= self._last_stage:
+            return self.ok(word)
         s = self._suffix
         if s is None:
-            if self._chain is None or not word:
+            if self._chain is None:
                 return self.ok(word)
-            return not self._chain.new_hit(word, self.lens, self.words)
-        if s == 0:
-            return not self._hit(word)
-        L = len(word)
+            return not self._chain.new_hit(word, self.lens, self.stage)
         for t in self.lens:
             off = L - t
-            if off >= 0 and off % s == 0 and word[off:] in self.words:
+            if off >= 0 and off % s == 0 and word[off:] in self.stage:
                 return False
         return True
 
@@ -167,20 +161,18 @@ class PredicateAvoidance:
     of ``f^n(σ)`` satisfies it.  Used by the Δ₁-forcing constructions, where
     the forbidden set is given by a formula instead of a list."""
 
-    __slots__ = ("map", "pred", "max_len", "label", "_word_hit")
+    __slots__ = ("map", "pred", "label", "_word_hit")
 
-    def __init__(self, map_: CodedMap, pred, max_len: int | None = None, label: str = "avoid-pred"):
+    def __init__(self, map_: CodedMap, pred, label: str = "avoid-pred"):
         self.map = map_
         self.pred = pred
-        self.max_len = max_len
         self.label = label
         self._word_hit: dict[str, bool] = {}
 
     def _hit(self, word: str) -> bool:
         h = self._word_hit.get(word)
         if h is None:
-            cap = len(word) if self.max_len is None else min(len(word), self.max_len)
-            h = any(self.pred(word[:t]) for t in range(cap + 1))
+            h = any(self.pred(word[:t]) for t in range(len(word) + 1))
             self._word_hit[word] = h
         return h
 
@@ -212,23 +204,6 @@ class CylinderCompat:
         return any(w.startswith(word) or word.startswith(w) for w in self.words)
 
     ok_extension = ok
-
-
-class LetterAt:
-    """Pin single positions: word[p] must equal the given letter."""
-
-    __slots__ = ("pins", "label")
-
-    def __init__(self, pins: dict[int, str], label: str = "pins"):
-        self.pins = dict(pins)
-        self.label = label
-
-    def ok(self, word: str) -> bool:
-        return all(len(word) <= p or word[p] == a for p, a in self.pins.items())
-
-    def ok_extension(self, word: str) -> bool:
-        a = self.pins.get(len(word) - 1)
-        return a is None or word[-1] == a
 
 
 def _live_nodes(space: ClosedClass, cap: int, constraints: Sequence) -> Iterator[str]:

@@ -126,15 +126,6 @@ def stagewise_class(k: int, depth: int, removals: Iterable[tuple[int, str]],
                        name="stagewise")
 
 
-def cylinder_class(base: ClosedClass, word: str) -> ClosedClass:
-    """``base`` intersected with the cylinder of ``word`` (prefix closed)."""
-
-    def member(w: str) -> bool:
-        return base.member(w) and (is_prefix(w, word) or is_prefix(word, w))
-
-    return ClosedClass(base.k, base.depth, member, name=f"{base.name}∩[{word}]")
-
-
 def orbit_class(generator: str, k: int, depth: int) -> ClosedClass:
     """Prefix closure of the shift orbit of ``generator^ω`` at depth."""
     points = sorted({periodic_word(r, depth) for r in rotations(generator)})

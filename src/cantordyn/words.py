@@ -2,8 +2,7 @@
 
 Words are plain Python strings over the characters ``'0'``, ``'1'``, ``'2'``.
 The empty word is ``""``.  The prefix order is :func:`is_prefix`; plain string
-comparison gives the lexicographic order used for tie-breaking, and
-:func:`length_lex_key` the length-lexicographic enumeration order.
+comparison gives the lexicographic order used for tie-breaking.
 """
 
 from __future__ import annotations
@@ -41,10 +40,6 @@ def all_words(k: int, length: int) -> Iterator[str]:
 def words_up_to(k: int, max_len: int) -> Iterator[str]:
     """All words of length ≤ ``max_len``, in length-lexicographic order."""
     return itertools.chain.from_iterable(all_words(k, n) for n in range(max_len + 1))
-
-
-def length_lex_key(word: str) -> tuple[int, str]:
-    return (len(word), word)
 
 
 def rotations(word: str) -> list[str]:

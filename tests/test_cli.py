@@ -9,6 +9,9 @@ GOLDEN = {"alphabet": 2, "depth": 16, "stage_horizon": 0,
           "tree": {"kind": "forbidden_words", "words": ["11"]},
           "map": {"kind": "shift"}}
 
+PIECEWISE = {"kind": "piecewise", "l": 1, "b": 2, "j": [["0", 1], ["1", 2]],
+             "base": {"kind": "shift"}}
+
 S2_NODES = {"alphabet": 2, "depth": 12, "stage_horizon": 0,
             "tree": {"kind": "explicit_nodes",
                      "nodes": ["001100110011", "011001100110",
@@ -192,12 +195,44 @@ class TestCommands:
         (dict(GOLDEN, map={"kind": "column_shift"}), "map.columns"),
         (dict(GOLDEN, alphabet="x"), "alphabet"),
         (dict(GOLDEN, tree={"kind": "forbidden_words", "words": ["12"]}), "tree.words[0]"),
-    ], ids=["no-words", "no-columns", "alphabet-x", "letter-2"])
+        (dict(GOLDEN, tree={"kind": "stagewise"}), "tree.removals"),
+        (dict(GOLDEN, tree={"kind": "stagewise", "removals": [["x", "11"]]}),
+         "tree.removals[0]"),
+        (dict(GOLDEN, map={"kind": "table"}), "map.entries"),
+        (dict(GOLDEN, map={"kind": "table", "entries": [["", ""]]}), "map.entries"),
+        (dict(GOLDEN, map={k: v for k, v in PIECEWISE.items() if k != "base"}), "map.base"),
+        (dict(GOLDEN, map=dict(PIECEWISE, j=[["0", "x"], ["1", 2]])), "map.j[0]"),
+        (dict(GOLDEN, map=dict(PIECEWISE, j=[["0", 1]])), "map.j"),
+        (dict(GOLDEN, map=dict(PIECEWISE, j=[["0", 1], ["1", 3]])), "map.j[1]"),
+        (dict(GOLDEN, map=dict(PIECEWISE, b=0)), "map"),
+    ], ids=["no-words", "no-columns", "alphabet-x", "letter-2", "no-removals",
+            "stage-x", "no-entries", "table-partial", "no-base", "exponent-x",
+            "exponent-missing", "exponent-range", "bound-zero"])
     def test_malformed_spec_exit_code(self, tmp_path, capsys, spec, location):
         p = tmp_path / "bad.json"
         p.write_text(json.dumps(spec))
         assert main(["validate", str(p)]) == 2
         assert f"error: {location}:" in capsys.readouterr().err
+
+    def test_malformed_sim_exit_code(self, tmp_path, capsys):
+        p = tmp_path / "sim.json"
+        p.write_text(json.dumps({"stage_horizon": 6}))
+        assert main(["decode-halting", "--sim", str(p)]) == 2
+        assert "error: sim.bits:" in capsys.readouterr().err
+
+    def test_malformed_requests_exit_code(self, golden_spec, tmp_path, capsys):
+        p = tmp_path / "reqs.json"
+        p.write_text(json.dumps([{"name": "u0", "stages": [["x", "1"]]}]))
+        assert main(["meet-avoid", golden_spec, "--requests", str(p)]) == 2
+        assert "error: requests[0].stages[0]:" in capsys.readouterr().err
+
+    def test_reduce_tree_depth_1500(self, tmp_path):
+        p = tmp_path / "deep.json"
+        p.write_text(json.dumps(dict(GOLDEN, depth=1500, tree={"kind": "explicit_nodes",
+                                                               "nodes": ["0" * 1500]})))
+        code, rep = run_to_json(["reduce-tree", str(p), "--scan-depth", "1"],
+                                tmp_path, "deep-out.json")
+        assert code == 0 and rep["outcome"]["recurrent_equals_paths"]
 
     def test_validate_depth_1500(self, tmp_path):
         p = tmp_path / "deep.json"

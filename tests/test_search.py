@@ -1,4 +1,5 @@
-"""Search core: explicit-stack depth and incremental avoidance on drop maps."""
+"""Search core: explicit-stack depth and incremental avoidance on drop maps
+and constant-step maps."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -46,6 +47,12 @@ def drop_maps(draw):
     return PiecewiseIterate(l, b, base, table.__getitem__).induced()
 
 
+# drop maps, plus the bare constant-step maps that take the suffix path
+avoidance_maps = st.one_of(
+    drop_maps(),
+    st.sampled_from([builtin_map("left-shift", 2, DEPTH),
+                     builtin_map("column-shift", 2, DEPTH, columns=2)]))
+
 words = st.text(alphabet="01", min_size=1, max_size=4)
 forbidden_sets = st.lists(words, min_size=1, max_size=4)
 stage_entries = st.lists(st.tuples(st.integers(0, DEPTH + 1), words), min_size=1, max_size=4)
@@ -77,17 +84,17 @@ def test_drop_descriptor_matches_rule(m):
         assert m.apply(w) == want
 
 
-@given(drop_maps(), forbidden_sets, stage_entries)
+@given(avoidance_maps, forbidden_sets, stage_entries)
 @settings(max_examples=120, deadline=None)
 def test_incremental_matches_full_along_dfs(m, forbidden, entries):
     space = full_class(2, DEPTH)
     for av in _avoidances(m, forbidden, entries):
-        assert av._chain is not None
+        assert (av._chain if m.drop else av._suffix) is not None
         # every child of every passing node is checked, in search order
         iter_members(space, DEPTH, [_Checked(av)])
 
 
-@given(drop_maps(), forbidden_sets, stage_entries, st.randoms(use_true_random=False))
+@given(avoidance_maps, forbidden_sets, stage_entries, st.randoms(use_true_random=False))
 @settings(max_examples=60, deadline=None)
 def test_incremental_matches_full_out_of_order(m, forbidden, entries, rnd):
     for av in _avoidances(m, forbidden, entries):
@@ -97,6 +104,44 @@ def test_incremental_matches_full_out_of_order(m, forbidden, entries, rnd):
         rnd.shuffle(queries)
         for w in queries:
             assert av.ok_extension(w) == av.ok(w), (av.label, w)
+
+
+@given(avoidance_maps, stage_entries)
+@settings(max_examples=80, deadline=None)
+def test_request_ok_matches_definition(m, entries):
+    av = RequestAvoidance(m, OpenRequest("r", tuple(entries)))
+    for w in words_up_to(2, DEPTH):
+        on = [u for st, u in entries if st <= len(w)]
+        want = not any(m.iterate(w, n).startswith(u)
+                       for n in range(len(w) + 1) for u in on)
+        assert av.ok(w) == want, w
+
+
+class _Agree:
+    """Constraint that runs two avoidances and asserts they agree on both
+    checks."""
+
+    def __init__(self, a, b):
+        self.a, self.b = a, b
+
+    def ok_extension(self, word):
+        got = self.a.ok_extension(word)
+        assert got == self.b.ok_extension(word), word
+        assert self.a.ok(word) == self.b.ok(word), word
+        return got
+
+
+@given(avoidance_maps, forbidden_sets)
+@settings(max_examples=120, deadline=None)
+def test_static_request_equals_forbidden_set(m, forbidden):
+    a = OrbitAvoidance(m, forbidden)
+    b = RequestAvoidance(m, OpenRequest.static("r", forbidden))
+    iter_members(full_class(2, DEPTH), DEPTH, [_Agree(a, b)])
+
+
+def test_request_avoidance_shares_the_checks():
+    assert RequestAvoidance.ok is OrbitAvoidance.ok
+    assert RequestAvoidance.ok_extension is OrbitAvoidance.ok_extension
 
 
 def test_constant_step_keeps_suffix_path():

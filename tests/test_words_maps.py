@@ -5,11 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cantordyn.errors import DepthExceeded, ModulusExhausted
-from cantordyn.maps import (CodedMap, IterateTable, builtin_map, iterate,
-                            iterate_map, normalize, random_normalized_map)
-from cantordyn.words import (all_words, is_prefix, is_primitive,
-                             length_lex_key, letters, periodic_word,
-                             rotations, words_up_to)
+from cantordyn.maps import (CodedMap, builtin_map, iterate_map, normalize,
+                            random_normalized_map)
+from cantordyn.words import (all_words, is_prefix, is_primitive, letters,
+                             periodic_word, rotations, words_up_to)
 
 
 def small_maps():
@@ -23,7 +22,6 @@ binary_words6 = st.text(alphabet="01", max_size=6)
 def test_words_helpers():
     assert list(all_words(2, 2)) == ["00", "01", "10", "11"]
     assert len(list(words_up_to(2, 3))) == 15
-    assert sorted(["10", "0", "1", ""], key=length_lex_key) == ["", "0", "1", "10"]
     assert is_prefix("", "01") and is_prefix("01", "01") and not is_prefix("10", "1")
     assert rotations("011") == ["011", "110", "101"]
     assert is_primitive("01") and not is_primitive("0101") and not is_primitive("")
@@ -36,9 +34,9 @@ class TestBuiltinMaps:
     def test_left_shift(self):
         sh = builtin_map("left-shift", 2, 8)
         assert sh.apply("101") == "01"
-        assert iterate(sh, "0110", 2) == "10"
-        assert iterate(sh, "0110", 0) == "0110"
-        assert iterate(sh, "0110", 5) == ""
+        assert sh.iterate("0110", 2) == "10"
+        assert sh.iterate("0110", 0) == "0110"
+        assert sh.iterate("0110", 5) == ""
         assert sh.check() == []
 
     def test_identity_is_normalized(self):
@@ -147,20 +145,12 @@ class TestIterateLaws:
            st.integers(0, 6), st.integers(0, 6))
     @settings(max_examples=80, deadline=None)
     def test_coherence(self, m, w, a, b):
-        assert iterate(m, w, a + b) == iterate(m, iterate(m, w, a), b)
+        assert m.iterate(w, a + b) == m.iterate(m.iterate(w, a), b)
 
     @given(small_maps())
     @settings(max_examples=30, deadline=None)
     def test_monotone(self, m):
         assert m.check() == []
-
-    def test_iterate_table(self, random_map8):
-        it = IterateTable(random_map8)
-        for w in all_words(2, 8):
-            assert it.get(w, 0) == w
-            assert it.get(w, 3) == iterate(random_map8, w, 3)
-        with pytest.raises(DepthExceeded):
-            it.get("0", 9)
 
 
 def test_random_maps_are_valid(rng):
