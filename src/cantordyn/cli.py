@@ -53,6 +53,23 @@ def _words(values, k: int, loc: str) -> list[str]:
     return [_word(w, k, f"{loc}[{idx}]") for idx, w in enumerate(values)]
 
 
+def _pairs(values, loc: str):
+    """``(index, first, second)`` for each entry of a list of pairs."""
+    if not isinstance(values, list):
+        raise SpecFormatError(f"expected a list, got {values!r}", loc)
+    for i, entry in enumerate(values):
+        if not isinstance(entry, list) or len(entry) != 2:
+            raise SpecFormatError(f"expected a pair, got {entry!r}", f"{loc}[{i}]")
+        yield i, entry[0], entry[1]
+
+
+def _json(text: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise SpecFormatError(f"invalid JSON: {e}", f"line {e.lineno}") from e
+
+
 @dataclass
 class SystemSpec:
     alphabet: int
@@ -73,7 +90,7 @@ class SystemSpec:
             return explicit_class(k, depth, _words(_field(self.tree, "nodes", "tree"), k, "tree.nodes"))
         if kind == "stagewise":
             rem = [(_int(s, f"tree.removals[{i}]"), _word(w, k, f"tree.removals[{i}]"))
-                   for i, (s, w) in enumerate(_field(self.tree, "removals", "tree"))]
+                   for i, s, w in _pairs(_field(self.tree, "removals", "tree"), "tree.removals")]
             return stagewise_class(k, depth, rem, self.stage_horizon)
         raise SpecFormatError(f"unknown tree kind {kind!r}", "tree.kind")
 
@@ -92,7 +109,7 @@ class SystemSpec:
             return builtin_map("column-shift", k, depth, columns=columns)
         if kind == "table":
             table = {_word(a, k, f"map.entries[{i}]"): _word(b, k, f"map.entries[{i}]")
-                     for i, (a, b) in enumerate(_field(m, "entries", "map"))}
+                     for i, a, b in _pairs(_field(m, "entries", "map"), "map.entries")}
             try:
                 built = CodedMap.from_table(k, depth, table, name="table")
             except ValueError as e:
@@ -104,7 +121,7 @@ class SystemSpec:
             if l < 0 or b < 1:
                 raise SpecFormatError("need l >= 0 and b >= 1", "map")
             jtab = {}
-            for i, (w, v) in enumerate(_field(m, "j", "map")):
+            for i, w, v in _pairs(_field(m, "j", "map"), "map.j"):
                 loc = f"map.j[{i}]"
                 v = jtab[_word(w, k, loc)] = _int(v, loc)
                 if not 1 <= v <= b:
@@ -125,10 +142,7 @@ class SystemSpec:
 
 
 def parse_spec(text: str) -> SystemSpec:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise SpecFormatError(f"invalid JSON: {e}", f"line {e.lineno}") from e
+    data = _json(text)
     for key in ("alphabet", "depth", "tree", "map"):
         if key not in data:
             raise SpecFormatError("missing field", key)
@@ -178,16 +192,20 @@ class RunReport:
 
 def load_requests(path: str) -> list[ref.OpenRequest]:
     with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+        data = _json(fh.read())
+    if not isinstance(data, list):
+        raise SpecFormatError("expected a list of requests", "requests")
     out = []
     for idx, item in enumerate(data):
+        if not isinstance(item, dict):
+            raise SpecFormatError(f"expected an object, got {item!r}", f"requests[{idx}]")
         name = item.get("name", f"u{idx}")
         if "words" in item:
             out.append(ref.OpenRequest.static(name, item["words"]))
         elif "stages" in item:
             out.append(ref.OpenRequest(name, tuple(
                 (_int(s, f"requests[{idx}].stages[{i}]"), w)
-                for i, (s, w) in enumerate(item["stages"]))))
+                for i, s, w in _pairs(item["stages"], f"requests[{idx}].stages"))))
         else:
             raise SpecFormatError("request needs 'words' or 'stages'", f"requests[{idx}]")
     return out
@@ -195,10 +213,19 @@ def load_requests(path: str) -> list[ref.OpenRequest]:
 
 def load_sim(path: str) -> mnl.HaltingSim:
     with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    bits = tuple((_int(n, f"sim.bits[{i}]"), None if t is None else _int(t, f"sim.bits[{i}]"))
-                 for i, (n, t) in enumerate(_field(data, "bits", "sim")))
-    return mnl.HaltingSim(bits, _int(_field(data, "stage_horizon", "sim"), "sim.stage_horizon"))
+        data = _json(fh.read())
+    if not isinstance(data, dict):
+        raise SpecFormatError("expected an object", "sim")
+    horizon = _int(_field(data, "stage_horizon", "sim"), "sim.stage_horizon")
+    bits = []
+    for i, n, t in _pairs(_field(data, "bits", "sim"), "sim.bits"):
+        loc = f"sim.bits[{i}]"
+        if t is not None:
+            t = _int(t, loc)
+            if not 1 <= t <= horizon:
+                raise SpecFormatError(f"entry stage {t} outside 1..{horizon}", loc)
+        bits.append((_int(n, loc), t))
+    return mnl.HaltingSim(tuple(bits), horizon)
 
 
 PHI_REGISTRY = {

@@ -162,7 +162,15 @@ def build_bit_coder(n: int, sim: HaltingSim, depth: int) -> ClosedClass:
 
 def product_system(parts: list[ClosedClass]) -> DynSystem:
     """Interleaved-column product: position ``p`` belongs to column
-    ``p mod columns``, and the map shifts every column at once."""
+    ``p mod columns``, and the map shifts every column at once.
+
+    ``member`` and the incremental ``step`` look each column word up in a
+    per-column memo; a miss asks the column's own ``member`` (depth check
+    included) once.  A search re-tests the same few column words at many
+    nodes, and a column holds at most ``k^(depth+1)`` words, so the memo
+    stays small; it lives in this product's closures and is freed with it.
+    Staged membership (``member_at``) is not memoized.
+    """
     if not parts:
         raise ValueError("empty product")
     cols = len(parts)
@@ -171,12 +179,20 @@ def product_system(parts: list[ClosedClass]) -> DynSystem:
         raise ValueError("column-count mismatch: parts must share alphabet and depth")
     depth = cols * depth0
 
+    memo: list[dict[str, bool]] = [{} for _ in parts]
+
+    def column(n: int, c: str) -> bool:
+        known = memo[n].get(c)
+        if known is None:
+            known = memo[n][c] = parts[n].member(c)
+        return known
+
     def member(w: str) -> bool:
-        return all(parts[n].member(w[n::cols]) for n in range(cols))
+        return all(column(n, w[n::cols]) for n in range(cols))
 
     def step(w: str) -> bool:
         n = (len(w) - 1) % cols
-        return parts[n].member(w[n::cols])
+        return column(n, w[n::cols])
 
     def member_at(w: str, s: int) -> bool:
         return all(parts[n].member(w[n::cols], stage=s) for n in range(cols))

@@ -213,7 +213,8 @@ def _live_nodes(space: ClosedClass, cap: int, constraints: Sequence) -> Iterator
     yielded, so the checks may be incremental."""
 
     step = space.member_step
-    if not (step("") and all(c.ok_extension("") for c in constraints)):
+    checks = [c.ok_extension for c in constraints]
+    if not (step("") and all(ok("") for ok in checks)):
         return
     yield ""
     alpha = letters(space.k)
@@ -222,7 +223,7 @@ def _live_nodes(space: ClosedClass, cap: int, constraints: Sequence) -> Iterator
         w, rest = stack[-1]
         for a in rest:
             u = w + a
-            if step(u) and all(c.ok_extension(u) for c in constraints):
+            if step(u) and (not checks or all(ok(u) for ok in checks)):
                 yield u
                 if len(u) < cap:
                     stack.append((u, iter(alpha)))
@@ -282,7 +283,12 @@ def avoidance_class(base: ClosedClass, avoids: Sequence, name: str) -> ClosedCla
     def pred(w: str) -> bool:
         return all(av.ok(w) for av in avoids)
 
-    def step(w: str) -> bool:
-        return all(av.ok_extension(w) for av in avoids)
+    if len(avoids) == 1:
+        step = avoids[0].ok_extension
+    else:
+        checks = [av.ok_extension for av in avoids]
+
+        def step(w: str) -> bool:
+            return all(ok(w) for ok in checks)
 
     return restrict_class(base, pred, name, step=step)

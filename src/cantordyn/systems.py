@@ -142,11 +142,14 @@ def restrict_class(base: ClosedClass, pred: Callable[[str], bool],
     (all proper prefixes already checked).
     """
 
+    base_step = base._member if base._step is None else base._step
+    check = pred if step is None else step
+
     def member(w: str) -> bool:
         return base.member(w) and pred(w)
 
     def member_step(w: str) -> bool:
-        return base.member_step(w) and (pred(w) if step is None else step(w))
+        return base_step(w) and check(w)
 
     return ClosedClass(base.k, base.depth, member, step=member_step, name=name)
 

@@ -205,9 +205,16 @@ class TestCommands:
         (dict(GOLDEN, map=dict(PIECEWISE, j=[["0", 1]])), "map.j"),
         (dict(GOLDEN, map=dict(PIECEWISE, j=[["0", 1], ["1", 3]])), "map.j[1]"),
         (dict(GOLDEN, map=dict(PIECEWISE, b=0)), "map"),
+        (dict(GOLDEN, map=dict(PIECEWISE, j=[["0"]])), "map.j[0]"),
+        (dict(GOLDEN, map=dict(PIECEWISE, j=[["0", 1], ["1", 2, 3]])), "map.j[1]"),
+        (dict(GOLDEN, map=dict(PIECEWISE, j=["01"])), "map.j[0]"),
+        (dict(GOLDEN, map=dict(PIECEWISE, j=5)), "map.j"),
+        (dict(GOLDEN, map={"kind": "table", "entries": [["0"]]}), "map.entries[0]"),
+        (dict(GOLDEN, tree={"kind": "stagewise", "removals": [[1]]}), "tree.removals[0]"),
     ], ids=["no-words", "no-columns", "alphabet-x", "letter-2", "no-removals",
             "stage-x", "no-entries", "table-partial", "no-base", "exponent-x",
-            "exponent-missing", "exponent-range", "bound-zero"])
+            "exponent-missing", "exponent-range", "bound-zero", "j-short", "j-long",
+            "j-string", "j-not-list", "entry-short", "removal-short"])
     def test_malformed_spec_exit_code(self, tmp_path, capsys, spec, location):
         p = tmp_path / "bad.json"
         p.write_text(json.dumps(spec))
@@ -225,6 +232,34 @@ class TestCommands:
         p.write_text(json.dumps([{"name": "u0", "stages": [["x", "1"]]}]))
         assert main(["meet-avoid", golden_spec, "--requests", str(p)]) == 2
         assert "error: requests[0].stages[0]:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, location", [
+        ('{"stage_horizon": 4, "bits": [[0]]}', "sim.bits[0]"),
+        ('{"stage_horizon": 4, "bits": [[0, null, 1]]}', "sim.bits[0]"),
+        ('{"stage_horizon": 4, "bits": [[0, null], [1, 9]]}', "sim.bits[1]"),
+        ('{"stage_horizon": 4, "bits": [[0, 0]]}', "sim.bits[0]"),
+        ('{broken', "line 1"),
+        ('[1]', "sim"),
+    ], ids=["bit-short", "bit-long", "stage-above-horizon", "stage-zero", "not-json",
+            "not-object"])
+    def test_malformed_sim_file(self, tmp_path, capsys, text, location):
+        p = tmp_path / "sim.json"
+        p.write_text(text)
+        assert main(["decode-halting", "--sim", str(p)]) == 2
+        assert f"error: {location}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, location", [
+        ('[{"name": "u0", "stages": [[1]]}]', "requests[0].stages[0]"),
+        ('[{"name": "u0", "stages": [[1, "1"], [2, "0", 3]]}]', "requests[0].stages[1]"),
+        ('{broken', "line 1"),
+        ('[1]', "requests[0]"),
+        ('{"name": "u0"}', "requests"),
+    ], ids=["stage-short", "stage-long", "not-json", "entry-not-object", "not-list"])
+    def test_malformed_requests_file(self, golden_spec, tmp_path, capsys, text, location):
+        p = tmp_path / "reqs.json"
+        p.write_text(text)
+        assert main(["meet-avoid", golden_spec, "--requests", str(p)]) == 2
+        assert f"error: {location}:" in capsys.readouterr().err
 
     def test_reduce_tree_depth_1500(self, tmp_path):
         p = tmp_path / "deep.json"

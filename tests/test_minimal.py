@@ -1,4 +1,8 @@
+from collections import Counter
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cantordyn.errors import NotMinimal, UndecidedAtDepth
 from cantordyn.maps import builtin_map
@@ -6,9 +10,9 @@ from cantordyn.minimal import (HaltingSim, ap_bound_from_minimal,
                                build_bit_coder, decode_bit, minimal_subsystem,
                                product_system, s_orbit)
 from cantordyn.search import iter_members
-from cantordyn.systems import (DynSystem, explicit_class, full_class,
-                               validate_system)
-from cantordyn.words import all_words, periodic_word
+from cantordyn.systems import (ClosedClass, DynSystem, explicit_class,
+                               full_class, validate_system)
+from cantordyn.words import all_words, letters, periodic_word, words_up_to
 
 
 def reachable_cylinders(sys_, max_len):
@@ -152,3 +156,66 @@ class TestProductsAndDecode:
         sim = HaltingSim(((0, 1), (1, None)), stage_horizon=6)
         prod = product_system([build_bit_coder(n, sim, 6) for n in range(2)])
         assert validate_system(prod, max_len=8).ok
+
+
+@st.composite
+def small_sims(draw):
+    """Sims of 1–4 bits, each never halting or entering at a stage in
+    range, with a column depth that keeps the product at most 16 deep."""
+    cols = draw(st.integers(1, 4))
+    coldepth = draw(st.integers(1, min(6, 16 // cols)))
+    horizon = draw(st.integers(1, 6))
+    stages = draw(st.lists(st.one_of(st.none(), st.integers(1, horizon)),
+                           min_size=cols, max_size=cols))
+    return HaltingSim(tuple(enumerate(stages)), horizon), coldepth
+
+
+@given(small_sims(), st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_product_memo_matches_column_conjunction(sim_depth, rnd):
+    sim, coldepth = sim_depth
+    parts = [build_bit_coder(n, sim, coldepth) for n, _ in sim.bits]
+    cols = len(parts)
+    space = product_system(parts).space
+
+    def want(w):
+        return all(parts[n].member(w[n::cols]) for n in range(cols))
+
+    # member on every short word; member and member_step on every child of
+    # a member, which is where a search calls the step
+    queries = [("member", w) for w in words_up_to(2, min(space.depth, 8))]
+    frontier = [""]
+    while frontier:
+        w = frontier.pop()
+        for a in letters(2):
+            u = w + a
+            if len(u) <= space.depth:
+                queries += [("member", u), ("step", u)]
+                if want(u):
+                    frontier.append(u)
+    rnd.shuffle(queries)
+    for kind, w in queries:
+        got = space.member(w) if kind == "member" else space.member_step(w)
+        assert got == want(w), (kind, w)
+
+
+def _counted(part, calls):
+    """``part`` with every final-membership call tallied per word."""
+    def member(w):
+        calls[w] += 1
+        return part.member(w)
+
+    return ClosedClass(part.k, part.depth, member,
+                       member_at=lambda w, s: part.member(w, stage=s),
+                       stage_horizon=part.stage_horizon, name=part.name)
+
+
+def test_product_asks_each_column_word_once():
+    sim = HaltingSim(((0, None), (1, 2), (2, None), (3, 1)), stage_horizon=4)
+    calls = [Counter() for _ in sim.bits]
+    parts = [_counted(build_bit_coder(n, sim, 5), calls[n]) for n, _ in sim.bits]
+    msys, chain = minimal_subsystem(product_system(parts), enum_len=6)
+    assert chain.pruned_words() and iter_members(msys.space, msys.depth)
+    for n, per_word in enumerate(calls):
+        assert per_word, n
+        assert max(per_word.values()) == 1, (n, per_word.most_common(3))

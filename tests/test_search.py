@@ -148,3 +148,19 @@ def test_constant_step_keeps_suffix_path():
     col = builtin_map("column-shift", 2, DEPTH, columns=2)
     assert col.drop is None and OrbitAvoidance(col, ["11"])._chain is None
     assert builtin_map("identity", 2, DEPTH).drop is None
+
+
+@given(st.integers(0, 2), st.lists(avoidance_maps, min_size=2, max_size=2),
+       forbidden_sets, stage_entries, st.lists(words, max_size=2))
+@settings(max_examples=80, deadline=None)
+def test_search_equals_brute_force_filter(count, maps, forbidden, entries, base_words):
+    base = forbidden_window_class(2, DEPTH, base_words) if base_words else full_class(2, DEPTH)
+    avs = [OrbitAvoidance(maps[0], forbidden),
+           RequestAvoidance(maps[1], OpenRequest("r", tuple(entries)))][:count]
+    cls = avoidance_class(base, avs, "cls")
+    for L in range(DEPTH + 1):
+        want = [w for w in all_words(2, L)
+                if base.member(w) and all(av.ok(w) for av in avs)]
+        assert iter_members(cls, L) == want, L
+        assert iter_members(base, L, avs) == want, L
+        assert find_member(cls, L) == (want[0] if want else None), L
