@@ -16,8 +16,9 @@ from dataclasses import dataclass
 
 from .errors import HorizonExhausted
 from .maps import builtin_map
-from .search import CylinderCompat, find_member, iter_members
-from .systems import ClosedClass, DynSystem, full_class, orbit_class, restrict_class
+from .search import find_member, iter_members
+from .systems import (ClosedClass, DynSystem, cylinder_class, full_class, orbit_class,
+                      restrict_class)
 from .words import all_words, is_primitive, periodic_word, rotations
 
 
@@ -98,7 +99,7 @@ def _cylinder_alive(P: ClosedClass, word: str) -> bool:
     """Does some full-depth member of P extend ``word``?"""
     if len(word) > P.depth:
         return False
-    return find_member(P, P.depth, [CylinderCompat([word])]) is not None
+    return find_member(cylinder_class(P, [word], f"{P.name}@{word}"), P.depth) is not None
 
 
 def build_dodging_class(P: ClosedClass, *, max_period: int = 4,
@@ -138,9 +139,7 @@ def build_dodging_class(P: ClosedClass, *, max_period: int = 4,
             probe = (head + block * ((N - len(head)) // len(block) + 1))[:N]
             partial = SigmaSequence(tuple(sigmas), tuple(reps))
             if P.member(probe):
-                hat = restrict_class(
-                    P, lambda w, pr=probe: pr.startswith(w) or w.startswith(pr),
-                    name=f"{P.name}-hat-degenerate")
+                hat = cylinder_class(P, [probe], f"{P.name}-hat-degenerate")
                 return DodgeOutcome("hat", DynSystem(full_class(P.k, N), shift),
                                     hat_class=hat, sigma=partial,
                                     degenerate_probe=probe, dodge_stage=j)

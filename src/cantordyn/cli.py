@@ -43,21 +43,33 @@ def _int(value, loc: str) -> int:
 
 
 def _word(value, k: int, loc: str) -> str:
+    if not isinstance(value, str):
+        raise SpecFormatError(f"expected a word, got {value!r}", loc)
     try:
         return check_word(value, k)
-    except (TypeError, ValueError) as e:
+    except ValueError as e:
         raise SpecFormatError(str(e), loc) from None
 
 
+def _list(values, loc: str) -> list:
+    if not isinstance(values, list):
+        raise SpecFormatError(f"expected a list, got {values!r}", loc)
+    return values
+
+
+def _object(value, loc: str) -> dict:
+    if not isinstance(value, dict):
+        raise SpecFormatError(f"expected an object, got {value!r}", loc)
+    return value
+
+
 def _words(values, k: int, loc: str) -> list[str]:
-    return [_word(w, k, f"{loc}[{idx}]") for idx, w in enumerate(values)]
+    return [_word(w, k, f"{loc}[{idx}]") for idx, w in enumerate(_list(values, loc))]
 
 
 def _pairs(values, loc: str):
     """``(index, first, second)`` for each entry of a list of pairs."""
-    if not isinstance(values, list):
-        raise SpecFormatError(f"expected a list, got {values!r}", loc)
-    for i, entry in enumerate(values):
+    for i, entry in enumerate(_list(values, loc)):
         if not isinstance(entry, list) or len(entry) != 2:
             raise SpecFormatError(f"expected a pair, got {entry!r}", f"{loc}[{i}]")
         yield i, entry[0], entry[1]
@@ -68,6 +80,8 @@ def _json(text: str):
         return json.loads(text)
     except json.JSONDecodeError as e:
         raise SpecFormatError(f"invalid JSON: {e}", f"line {e.lineno}") from e
+    except RecursionError:
+        raise SpecFormatError("invalid JSON: nested too deeply", "json") from None
 
 
 @dataclass
@@ -85,6 +99,8 @@ class SystemSpec:
             return full_class(k, depth)
         if kind == "forbidden_words":
             words = _words(_field(self.tree, "words", "tree"), k, "tree.words")
+            if "" in words:
+                raise SpecFormatError("empty forbidden word", f"tree.words[{words.index('')}]")
             return forbidden_window_class(k, depth, words)
         if kind == "explicit_nodes":
             return explicit_class(k, depth, _words(_field(self.tree, "nodes", "tree"), k, "tree.nodes"))
@@ -94,8 +110,18 @@ class SystemSpec:
             return stagewise_class(k, depth, rem, self.stage_horizon)
         raise SpecFormatError(f"unknown tree kind {kind!r}", "tree.kind")
 
-    def build_map(self, spec: dict | None = None) -> CodedMap:
-        m = self.map if spec is None else spec
+    def build_map(self) -> CodedMap:
+        """The map; a ``piecewise`` map is built over its ``base`` chain,
+        innermost first."""
+        layers = [self.map]
+        while layers[-1].get("kind") == "piecewise":
+            layers.append(_object(_field(layers[-1], "base", "map"), "map.base"))
+        built = None
+        for m in reversed(layers):
+            built = self._map_layer(m, built)
+        return built
+
+    def _map_layer(self, m: dict, base: CodedMap | None) -> CodedMap:
         kind = m.get("kind")
         k, depth = self.alphabet, self.depth
         if kind == "shift":
@@ -116,7 +142,6 @@ class SystemSpec:
                 raise SpecFormatError(str(e), "map.entries") from None
             return built if built.shrinking else normalize(built)
         if kind == "piecewise":
-            base = self.build_map(_field(m, "base", "map"))
             l, b = _int(_field(m, "l", "map"), "map.l"), _int(_field(m, "b", "map"), "map.b")
             if l < 0 or b < 1:
                 raise SpecFormatError("need l >= 0 and b >= 1", "map")
@@ -142,7 +167,7 @@ class SystemSpec:
 
 
 def parse_spec(text: str) -> SystemSpec:
-    data = _json(text)
+    data = _object(_json(text), "spec")
     for key in ("alphabet", "depth", "tree", "map"):
         if key not in data:
             raise SpecFormatError("missing field", key)
@@ -153,7 +178,7 @@ def parse_spec(text: str) -> SystemSpec:
     if depth < 1:
         raise SpecFormatError("depth must be positive", "depth")
     return SystemSpec(alphabet, depth, _int(data.get("stage_horizon", 0), "stage_horizon"),
-                      dict(data["tree"]), dict(data["map"]))
+                      dict(_object(data["tree"], "tree")), dict(_object(data["map"], "map")))
 
 
 def emit_spec(spec: SystemSpec) -> str:
@@ -190,41 +215,42 @@ class RunReport:
         })
 
 
-def load_requests(path: str) -> list[ref.OpenRequest]:
+def load_requests(path: str, k: int) -> list[ref.OpenRequest]:
+    """The requests in a file, with every word checked against alphabet ``k``."""
     with open(path, encoding="utf-8") as fh:
         data = _json(fh.read())
-    if not isinstance(data, list):
-        raise SpecFormatError("expected a list of requests", "requests")
     out = []
-    for idx, item in enumerate(data):
-        if not isinstance(item, dict):
-            raise SpecFormatError(f"expected an object, got {item!r}", f"requests[{idx}]")
-        name = item.get("name", f"u{idx}")
+    for idx, item in enumerate(_list(data, "requests")):
+        loc = f"requests[{idx}]"
+        name = _object(item, loc).get("name", f"u{idx}")
+        if not isinstance(name, str) or name in [rq.name for rq in out]:
+            raise SpecFormatError(f"expected a new name, got {name!r}", f"{loc}.name")
         if "words" in item:
-            out.append(ref.OpenRequest.static(name, item["words"]))
+            out.append(ref.OpenRequest.static(name, _words(item["words"], k, f"{loc}.words")))
         elif "stages" in item:
             out.append(ref.OpenRequest(name, tuple(
-                (_int(s, f"requests[{idx}].stages[{i}]"), w)
-                for i, s, w in _pairs(item["stages"], f"requests[{idx}].stages"))))
+                (_int(s, f"{loc}.stages[{i}]"), _word(w, k, f"{loc}.stages[{i}]"))
+                for i, s, w in _pairs(item["stages"], f"{loc}.stages"))))
         else:
-            raise SpecFormatError("request needs 'words' or 'stages'", f"requests[{idx}]")
+            raise SpecFormatError("request needs 'words' or 'stages'", loc)
     return out
 
 
 def load_sim(path: str) -> mnl.HaltingSim:
+    """The simulation in a file; entry ``i`` of ``bits`` must be bit ``i``."""
     with open(path, encoding="utf-8") as fh:
-        data = _json(fh.read())
-    if not isinstance(data, dict):
-        raise SpecFormatError("expected an object", "sim")
+        data = _object(_json(fh.read()), "sim")
     horizon = _int(_field(data, "stage_horizon", "sim"), "sim.stage_horizon")
     bits = []
     for i, n, t in _pairs(_field(data, "bits", "sim"), "sim.bits"):
         loc = f"sim.bits[{i}]"
+        if _int(n, loc) != i:
+            raise SpecFormatError(f"expected bit index {i}, got {n!r}", loc)
         if t is not None:
             t = _int(t, loc)
             if not 1 <= t <= horizon:
                 raise SpecFormatError(f"entry stage {t} outside 1..{horizon}", loc)
-        bits.append((_int(n, loc), t))
+        bits.append((i, t))
     return mnl.HaltingSim(tuple(bits), horizon)
 
 
@@ -385,7 +411,7 @@ def cmd_dodge(args) -> int:
 
 def cmd_meet_avoid(args) -> int:
     spec = _read_spec_file(args.spec)
-    requests = load_requests(args.requests)
+    requests = load_requests(args.requests, spec.alphabet)
     t0 = time.monotonic()
     sys_ = spec.build()
     cur = sys_
@@ -427,7 +453,7 @@ def cmd_force_least(args) -> int:
 
 def cmd_ap_point(args) -> int:
     spec = _read_spec_file(args.spec)
-    requests = load_requests(args.requests) if args.requests else []
+    requests = load_requests(args.requests, spec.alphabet) if args.requests else []
     t0 = time.monotonic()
     sys_ = spec.build()
     X, cert, log = ref.construct_ap_point(sys_, requests, c_max=args.cmax)

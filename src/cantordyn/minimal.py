@@ -67,7 +67,7 @@ def minimal_subsystem(sys_: DynSystem, enum_len: int = 4) -> tuple[DynSystem, Re
             chain.stages.append(RemovalStage(idx, word, True, True, current))
             continue
         candidate = avoidance_class(
-            sys_.space, [OrbitAvoidance(f, adopted + [word])],
+            sys_.space, OrbitAvoidance(f, adopted + [word]),
             name=f"{sys_.space.name}\\[{','.join(adopted + [word])}]")
         if find_member(candidate, N) is not None:
             adopted.append(word)
@@ -87,7 +87,7 @@ def ap_bound_from_minimal(sys_: DynSystem, tau: str) -> int:
     full depth, exhibiting a proper subsystem candidate.
     """
     avoid = OrbitAvoidance(sys_.map, [tau])
-    cls = avoidance_class(sys_.space, [avoid], name=f"{sys_.space.name}~[{tau}]")
+    cls = avoidance_class(sys_.space, avoid, name=f"{sys_.space.name}~[{tau}]")
     b = death_length(cls, sys_.depth)
     if b is None:
         witness = find_member(cls, sys_.depth)

@@ -24,9 +24,10 @@ from dataclasses import dataclass
 
 from .errors import EmptyClassError, HorizonExhausted
 from .maps import CodedMap
-from .search import CylinderCompat, find_member, iter_members
-from .systems import ClosedClass, DynSystem, PointApprox, RecCert, Report, full_class
-from .words import all_words, letters
+from .search import find_member, iter_members, live_nodes
+from .systems import (ClosedClass, DynSystem, PointApprox, RecCert, Report, cylinder_class,
+                      full_class)
+from .words import all_words
 
 _STAGE_ENUM_CAP = 18          # covering checks enumerate 2^s members
 _STORE_NODE_BUDGET = 2_000_000
@@ -143,6 +144,7 @@ class _StageState:
         self.i = i
         self.precision = i - 1
         self.prev_store = prev_store
+        self.prev_lens = sorted({len(w) for w in prev_store})
         self._ret: dict[str, int | None] = {}
 
     def ret(self, w: str) -> int | None:
@@ -170,7 +172,7 @@ class _StageState:
 
     def ancestor_ok(self, w: str) -> bool:
         """Some proper prefix is in the previous stage's store."""
-        return any(w[:t] in self.prev_store for t in range(len(w)))
+        return bool(w) and _has_prefix_in(w[:-1], self.prev_store, self.prev_lens)
 
     def qualifies(self, w: str, s: int) -> bool:
         if not self.ancestor_ok(w):
@@ -193,9 +195,12 @@ def _covered(state: _StageState, v: str, s: int) -> bool:
     return False
 
 
-def _store_stage(state: _StageState, s: int, k: int) -> list[str]:
+def _store_stage(state: _StageState, s: int, k: int) -> set[str]:
     """Minimal qualifying words, up to the length where qualification is
-    determined by the prefix (suffix maps) or the working depth."""
+    determined by the prefix (suffix maps) or the working depth.
+
+    The walk searches the class of words with no stored proper prefix, so it
+    never descends below a word it has stored."""
     step = state.f.suffix_step
     prev_max = max((len(w) for w in state.prev_store), default=0)
     if step:
@@ -203,25 +208,18 @@ def _store_stage(state: _StageState, s: int, k: int) -> list[str]:
         cap = min(cap, state.depth)
     else:
         cap = state.depth
-    alpha = letters(k)
-    out: list[str] = []
+    stored: set[str] = set()
+    walk = ClosedClass(k, state.depth,
+                       lambda w: not any(w[:t] in stored for t in range(len(w))),
+                       step=lambda w: w[:-1] not in stored, name=f"store({state.i})")
     budget = _STORE_NODE_BUDGET
-
-    def rec(w: str):
-        nonlocal budget
+    for w in live_nodes(walk, cap):
         budget -= 1
         if budget <= 0:
             raise HorizonExhausted(f"stage {state.i}: store enumeration budget exceeded")
         if state.qualifies(w, s):
-            out.append(w)
-            return
-        if len(w) >= cap:
-            return
-        for a in alpha:
-            rec(w + a)
-
-    rec("")
-    return out
+            stored.add(w)
+    return stored
 
 
 def construct_recurrent_point(sys_: DynSystem, stages: int = 6,
@@ -251,8 +249,8 @@ def construct_recurrent_point(sys_: DynSystem, stages: int = 6,
             if s > _STAGE_ENUM_CAP:
                 raise HorizonExhausted(f"stage {i}: covering scan beyond 2^{s}",
                                        partial=stage_records)
-            members = iter_members(sys_.space, s)
-            if all(_covered(state, v, s) for v in members):
+            V = tuple(iter_members(sys_.space, s))
+            if all(_covered(state, v, s) for v in V):
                 s_found = s
                 break
         if s_found is None:
@@ -262,11 +260,10 @@ def construct_recurrent_point(sys_: DynSystem, stages: int = 6,
         if not store:
             raise HorizonExhausted(f"stage {i}: no qualifying words at bound {s_found}",
                                    partial=stage_records)
-        V = tuple(iter_members(sys_.space, s_found))
         stage_records.append(CoverStage(i, s_found, tuple(sorted(store)), V))
         prev_store = frozenset(store)
 
-    point_word = find_member(sys_.space, N, [CylinderCompat(sorted(prev_store))])
+    point_word = find_member(cylinder_class(sys_.space, prev_store, "final-stage"), N)
     if point_word is None:
         raise HorizonExhausted("no full-depth member extends the final stage",
                                partial=stage_records)

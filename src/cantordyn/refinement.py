@@ -23,12 +23,10 @@ from typing import Callable
 from .errors import HorizonExhausted, InconsistentDepth, ModulusExhausted
 from .maps import CodedMap
 from .search import (OrbitAvoidance, PredicateAvoidance, avoidance_class,
-                     death_length, find_member, iter_members)
+                     death_length, find_member)
 from .systems import (APCert, APRow, DynSystem, PointApprox, Report,
                       restrict_class, search_ap_row)
 from .words import all_words, words_up_to
-
-_MEMBER_ENUM_GUARD = 20000
 
 
 class PiecewiseIterate:
@@ -267,7 +265,7 @@ def meet_or_avoid(sys_: DynSystem, request) -> tuple[Refinement, str]:
     N = sys_.depth
     space = sys_.space
     avoid = request.make_avoidance(f)
-    d0 = avoidance_class(space, [avoid], name=f"{space.name}~{request.name}")
+    d0 = avoidance_class(space, avoid, name=f"{space.name}~{request.name}")
     if find_member(d0, N) is not None:
         child = DynSystem(d0, f)
         return Refinement(child, sys_, trivial_cert(f), case="avoid",
@@ -314,7 +312,7 @@ class Phi1Predicate:
         return self.fn(m, tau, self.param)
 
 
-def least_element_forcing(sys_: DynSystem, phi: Phi1Predicate, *, _inner: bool = False
+def least_element_forcing(sys_: DynSystem, phi: Phi1Predicate
                           ) -> tuple[Refinement, tuple[str, int | None]]:
     """Refine so the least witness of ``∃s φ(m, X↾s)`` is constant.
 
@@ -338,35 +336,17 @@ def least_element_forcing(sys_: DynSystem, phi: Phi1Predicate, *, _inner: bool =
 
     least_dead = None
     for n in range(N + 1):
-        cls = avoidance_class(sys_.space, [PredicateAvoidance(f, o_le(n))],
+        cls = avoidance_class(sys_.space, PredicateAvoidance(f, o_le(n)),
                               name=f"C(<= {n})")
         if find_member(cls, N) is None:
             least_dead = n
             break
 
     if least_dead is None:
-        request = PredicateRequest(f"phi[{phi.name}]", o_le(N))
-        ref, case = meet_or_avoid(sys_, request)
-        if case == "avoid":
-            return ref, ("empty", None)
-        if _inner:
-            raise HorizonExhausted("meet-branch recursion did not stabilize")
-        members = iter_members(ref.child.space, N, limit=_MEMBER_ENUM_GUARD + 1)
-        if len(members) > _MEMBER_ENUM_GUARD:
-            raise HorizonExhausted("too many members to extract the compactness bound")
-        b_cap = 0
-        for v in members:
-            least = None
-            for m in range(N + 1):
-                if any(phi_at(m, v[:t]) for t in range(N + 1)):
-                    least = m
-                    break
-            if least is None:
-                raise HorizonExhausted(f"meet-case member {v!r} has no witness at depth")
-            b_cap = max(b_cap, least)
-        inner_ref, outcome = least_element_forcing(ref.child, phi, _inner=True)
-        return Refinement(inner_ref.child, sys_, compose(inner_ref.cert, ref.cert),
-                          case=inner_ref.case, meta={"via_meet_bound": b_cap}), outcome
+        # C(<= N) keeps a full-depth member, and it is the avoid child of O(<= N)
+        ref, case = meet_or_avoid(sys_, PredicateRequest(f"phi[{phi.name}]", o_le(N)))
+        assert case == "avoid"
+        return ref, ("empty", None)
 
     b = least_dead
     request = PredicateRequest(f"O(<= {b})", o_le(b))
@@ -378,7 +358,7 @@ def least_element_forcing(sys_: DynSystem, phi: Phi1Predicate, *, _inner: bool =
         return Refinement(child, sys_, ref.cert, case="least", meta={"b": b}), ("least", b)
     o_lt = o_le(b - 1)
     carve = avoidance_class(ref.child.space,
-                            [PredicateAvoidance(ref.child.map, o_lt)],
+                            PredicateAvoidance(ref.child.map, o_lt),
                             name=f"{ref.child.space.name}~O(<{b})")
     if find_member(carve, N) is None:
         raise InconsistentDepth(
@@ -411,17 +391,17 @@ def nbh_periodicity(sys_: DynSystem, i: int) -> NbhResult:
     avoided: list[str] = []
     for w in reversed(words_i):
         cand = avoided + [w]
-        cls = avoidance_class(sys_.space, [OrbitAvoidance(f, cand)], name="nbh-cand")
+        cls = avoidance_class(sys_.space, OrbitAvoidance(f, cand), name="nbh-cand")
         if find_member(cls, N) is not None:
             avoided = cand
     space = sys_.space if not avoided else avoidance_class(
-        sys_.space, [OrbitAvoidance(f, avoided)], name=f"{sys_.space.name}·nbh({i})")
+        sys_.space, OrbitAvoidance(f, avoided), name=f"{sys_.space.name}·nbh({i})")
     bounds = {}
     b = 1
     for w in words_i:
         if w in avoided:
             continue
-        cls = avoidance_class(sys_.space, [OrbitAvoidance(f, avoided + [w])], name="nbh-s")
+        cls = avoidance_class(sys_.space, OrbitAvoidance(f, avoided + [w]), name="nbh-s")
         dl = death_length(cls, N)
         if dl is None:
             raise HorizonExhausted(f"return length for {w!r} exceeds depth {N}")

@@ -1,11 +1,13 @@
-"""Depth-first tree search over closed classes with orbit constraints.
+"""Depth-first tree search over closed classes, and orbit avoidance.
 
-Everything here is exhaustive and deterministic: searches expand letters in
-lexicographic order, so "the member found" always means the lexicographically
-least one.  The searches keep an explicit stack, so Python's recursion limit
-does not bound the working depth.
+Everything here is exhaustive and deterministic: :func:`live_nodes`, the one
+search loop, expands letters in lexicographic order, so "the member found"
+always means the lexicographically least one.  It keeps an explicit stack, so
+Python's recursion limit does not bound the working depth.  A search is
+narrowed only by restricting its class: ``restrict_class`` and
+``cylinder_class`` in :mod:`cantordyn.systems`, and :func:`avoidance_class`.
 
-Constraint objects provide a full check ``ok(word)`` and an incremental
+Avoidance conditions provide a full check ``ok(word)`` and an incremental
 ``ok_extension(word)`` that may assume every proper prefix of the word already
 passed (valid along DFS paths).  :class:`OrbitAvoidance` is the one
 finite-set orbit-avoidance condition: a fixed forbidden set is a stagewise
@@ -190,31 +192,14 @@ class PredicateAvoidance:
         return self.ok(word)
 
 
-class CylinderCompat:
-    """Compatibility with a finite set of cylinders: the word must be a prefix
-    of, or extend, one of the given words."""
-
-    __slots__ = ("words", "label")
-
-    def __init__(self, words: Iterable[str], label: str = "compat"):
-        self.words = sorted(set(words))
-        self.label = label
-
-    def ok(self, word: str) -> bool:
-        return any(w.startswith(word) or word.startswith(w) for w in self.words)
-
-    ok_extension = ok
-
-
-def _live_nodes(space: ClosedClass, cap: int, constraints: Sequence) -> Iterator[str]:
-    """Every word of length ≤ ``cap`` that passes the class and constraint
-    checks along with all its prefixes, in depth-first lexicographic
-    preorder.  Each word is checked once, right after its parent is
-    yielded, so the checks may be incremental."""
+def live_nodes(space: ClosedClass, cap: int) -> Iterator[str]:
+    """Every word of length ≤ ``cap`` that passes ``space.member_step`` along
+    with all its prefixes, in depth-first lexicographic preorder.  Each word
+    is checked once, right after its parent is yielded, so the check may be
+    incremental, and may read state the caller updated at the parent."""
 
     step = space.member_step
-    checks = [c.ok_extension for c in constraints]
-    if not (step("") and all(ok("") for ok in checks)):
+    if not step(""):
         return
     yield ""
     alpha = letters(space.k)
@@ -223,7 +208,7 @@ def _live_nodes(space: ClosedClass, cap: int, constraints: Sequence) -> Iterator
         w, rest = stack[-1]
         for a in rest:
             u = w + a
-            if step(u) and (not checks or all(ok(u) for ok in checks)):
+            if step(u):
                 yield u
                 if len(u) < cap:
                     stack.append((u, iter(alpha)))
@@ -232,20 +217,18 @@ def _live_nodes(space: ClosedClass, cap: int, constraints: Sequence) -> Iterator
             stack.pop()
 
 
-def find_member(space: ClosedClass, length: int, constraints: Sequence = ()) -> str | None:
-    """Lexicographically least member of the given length satisfying every
-    constraint, or None."""
-    for w in _live_nodes(space, length, constraints):
+def find_member(space: ClosedClass, length: int) -> str | None:
+    """Lexicographically least member of the given length, or None."""
+    for w in live_nodes(space, length):
         if len(w) == length:
             return w
     return None
 
 
-def iter_members(space: ClosedClass, length: int, constraints: Sequence = (),
-                 limit: int | None = None) -> list[str]:
+def iter_members(space: ClosedClass, length: int, limit: int | None = None) -> list[str]:
     """All members of the given length (lexicographic order), up to ``limit``."""
     out: list[str] = []
-    for w in _live_nodes(space, length, constraints):
+    for w in live_nodes(space, length):
         if len(w) == length:
             out.append(w)
             if limit is not None and len(out) >= limit:
@@ -253,42 +236,18 @@ def iter_members(space: ClosedClass, length: int, constraints: Sequence = (),
     return out
 
 
-def last_live_length(space: ClosedClass, cap: int, constraints: Sequence = ()) -> int:
-    """Largest ``n ≤ cap`` with a surviving word of length ``n`` (−1 if even
-    the root fails)."""
-    best = -1
-    for w in _live_nodes(space, cap, constraints):
-        best = max(best, len(w))
-        if best == cap:
-            break
-    return best
+def death_length(space: ClosedClass, cap: int) -> int | None:
+    """Least ``s ≤ cap`` such that no word of length ``s`` survives (0 when
+    even the root fails), or None if the tree is alive at ``cap``."""
+    longest = -1
+    for w in live_nodes(space, cap):
+        if len(w) == cap:
+            return None
+        longest = max(longest, len(w))
+    return longest + 1
 
 
-def death_length(space: ClosedClass, cap: int, constraints: Sequence = ()) -> int | None:
-    """Least ``s ≤ cap`` such that no word of length ``s`` survives, or None
-    if the tree is alive at ``cap``."""
-    live = last_live_length(space, cap, constraints)
-    if live >= cap:
-        return None
-    return live + 1
-
-
-def avoidance_class(base: ClosedClass, avoids: Sequence, name: str) -> ClosedClass:
-    """``base`` restricted by orbit-avoidance constraints, as a ClosedClass.
-
-    Avoidance conditions are downward closed, so full membership is the
-    conjunction of the full checks at the word itself.
-    """
-
-    def pred(w: str) -> bool:
-        return all(av.ok(w) for av in avoids)
-
-    if len(avoids) == 1:
-        step = avoids[0].ok_extension
-    else:
-        checks = [av.ok_extension for av in avoids]
-
-        def step(w: str) -> bool:
-            return all(ok(w) for ok in checks)
-
-    return restrict_class(base, pred, name, step=step)
+def avoidance_class(base: ClosedClass, avoid, name: str) -> ClosedClass:
+    """``base`` restricted by one orbit-avoidance condition, as a ClosedClass
+    whose search step is the condition's incremental check."""
+    return restrict_class(base, avoid.ok, name, step=avoid.ok_extension)

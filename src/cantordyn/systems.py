@@ -154,6 +154,14 @@ def restrict_class(base: ClosedClass, pred: Callable[[str], bool],
     return ClosedClass(base.k, base.depth, member, step=member_step, name=name)
 
 
+def cylinder_class(base: ClosedClass, words: Iterable[str], name: str) -> ClosedClass:
+    """``base`` restricted to the union of the cylinders of ``words``: the
+    words that are a prefix of one of them or extend one."""
+    listed = sorted(set(words))
+    return restrict_class(
+        base, lambda w: any(v.startswith(w) or w.startswith(v) for v in listed), name)
+
+
 @dataclass(frozen=True)
 class DynSystem:
     """A closed class together with a normalized map acting on it."""

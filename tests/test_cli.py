@@ -211,15 +211,32 @@ class TestCommands:
         (dict(GOLDEN, map=dict(PIECEWISE, j=5)), "map.j"),
         (dict(GOLDEN, map={"kind": "table", "entries": [["0"]]}), "map.entries[0]"),
         (dict(GOLDEN, tree={"kind": "stagewise", "removals": [[1]]}), "tree.removals[0]"),
+        (5, "spec"),
+        (dict(GOLDEN, tree="full"), "tree"),
+        (dict(GOLDEN, map=["shift"]), "map"),
+        (dict(GOLDEN, map=dict(PIECEWISE, base="shift")), "map.base"),
+        (dict(GOLDEN, tree={"kind": "forbidden_words", "words": 11}), "tree.words"),
+        (dict(GOLDEN, tree={"kind": "forbidden_words", "words": "11"}), "tree.words"),
+        (dict(GOLDEN, tree={"kind": "explicit_nodes", "nodes": [0]}), "tree.nodes[0]"),
+        (dict(GOLDEN, tree={"kind": "forbidden_words", "words": ["11", ""]}), "tree.words[1]"),
     ], ids=["no-words", "no-columns", "alphabet-x", "letter-2", "no-removals",
             "stage-x", "no-entries", "table-partial", "no-base", "exponent-x",
             "exponent-missing", "exponent-range", "bound-zero", "j-short", "j-long",
-            "j-string", "j-not-list", "entry-short", "removal-short"])
+            "j-string", "j-not-list", "entry-short", "removal-short", "spec-not-object",
+            "tree-not-object", "map-not-object", "base-not-object", "words-number",
+            "words-string", "node-number", "empty-forbidden-word"])
     def test_malformed_spec_exit_code(self, tmp_path, capsys, spec, location):
         p = tmp_path / "bad.json"
         p.write_text(json.dumps(spec))
         assert main(["validate", str(p)]) == 2
         assert f"error: {location}:" in capsys.readouterr().err
+
+    def test_deeply_nested_json_exit_code(self, tmp_path, capsys):
+        p = tmp_path / "deep.json"
+        p.write_text('{"alphabet": 2, "depth": 8, "tree": {"kind": "full"}, "map": '
+                     + "[" * 10 ** 5 + "]" * 10 ** 5 + "}")
+        assert main(["validate", str(p)]) == 2
+        assert "error: json:" in capsys.readouterr().err
 
     def test_malformed_sim_exit_code(self, tmp_path, capsys):
         p = tmp_path / "sim.json"
@@ -240,8 +257,12 @@ class TestCommands:
         ('{"stage_horizon": 4, "bits": [[0, 0]]}', "sim.bits[0]"),
         ('{broken', "line 1"),
         ('[1]', "sim"),
+        ('{"stage_horizon": 4, "bits": [[0, null], [0, 2]]}', "sim.bits[1]"),
+        ('{"stage_horizon": 4, "bits": [[1, 2], [0, null]]}', "sim.bits[0]"),
+        ('{"stage_horizon": 4, "bits": [[5, null]]}', "sim.bits[0]"),
+        ('{"stage_horizon": 4, "bits": [[-1, 2], [0, null]]}', "sim.bits[0]"),
     ], ids=["bit-short", "bit-long", "stage-above-horizon", "stage-zero", "not-json",
-            "not-object"])
+            "not-object", "index-twice", "index-swapped", "index-beyond", "index-negative"])
     def test_malformed_sim_file(self, tmp_path, capsys, text, location):
         p = tmp_path / "sim.json"
         p.write_text(text)
@@ -254,7 +275,18 @@ class TestCommands:
         ('{broken', "line 1"),
         ('[1]', "requests[0]"),
         ('{"name": "u0"}', "requests"),
-    ], ids=["stage-short", "stage-long", "not-json", "entry-not-object", "not-list"])
+        ('[{"name": "u0", "words": [1]}]', "requests[0].words[0]"),
+        ('[{"name": "u0", "stages": [[0, 5]]}]', "requests[0].stages[0]"),
+        ('[{"name": "u0", "words": "1"}]', "requests[0].words"),
+        ('[{"name": "u0", "words": ["0", "2"]}]', "requests[0].words[1]"),
+        ('[{"name": "u0", "stages": [[0, "0"], [1, "12"]]}]', "requests[0].stages[1]"),
+        ('[{"name": ["u0"], "words": ["1"]}]', "requests[0].name"),
+        ('[{"name": 5, "words": ["1"]}]', "requests[0].name"),
+        ('[{"name": "u0", "words": ["1"]}, {"words": ["0"]}, {"name": "u0", "words": ["0"]}]',
+         "requests[2].name"),
+    ], ids=["stage-short", "stage-long", "not-json", "entry-not-object", "not-list",
+            "word-number", "stage-word-number", "words-string", "word-letter-2",
+            "stage-word-letter-2", "name-list", "name-number", "name-twice"])
     def test_malformed_requests_file(self, golden_spec, tmp_path, capsys, text, location):
         p = tmp_path / "reqs.json"
         p.write_text(text)

@@ -1,0 +1,108 @@
+"""Recorded reports: refactors must leave every report byte-identical.
+
+Each job runs the CLI on fixed inputs and compares the report with
+``tests/golden/<name>.json``, byte for byte, with the ``timing_ms`` line
+dropped (the one field outside the determinism contract).  Regenerate the
+files, only when a change of output is intended, with::
+
+    PYTHONPATH=src python tests/test_golden_reports.py
+"""
+
+import json
+import re
+from pathlib import Path
+
+import pytest
+
+from cantordyn.cli import main
+
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+
+
+def _spec(depth, tree, map_=None):
+    return {"alphabet": 2, "depth": depth, "stage_horizon": 0, "tree": tree,
+            "map": map_ or {"kind": "shift"}}
+
+
+def _nodes(nodes):
+    return {"kind": "explicit_nodes", "nodes": nodes}
+
+
+def _periodic(gen, n):
+    return (gen * n)[:n]
+
+
+GOLDEN_MEAN = {"kind": "forbidden_words", "words": ["11"]}
+XSTAR = ("0" + "1" + "0" + "11" + "0" + "111" + "0" + "1111").ljust(40, "0")
+
+INPUTS = {
+    "golden.json": _spec(16, GOLDEN_MEAN),
+    "golden-64.json": _spec(64, GOLDEN_MEAN),
+    "golden-pw-12.json": _spec(12, GOLDEN_MEAN,
+                               {"kind": "piecewise", "l": 1, "b": 2,
+                                "j": [["0", 1], ["1", 2]], "base": {"kind": "shift"}}),
+    "p0.json": _spec(24, _nodes(["0" * 24])),
+    "tree.json": _spec(13, _nodes(["0" * 13, "01", "1"])),
+    "dodge-orbit-40.json": _spec(40, _nodes(["0" * 40])),
+    "dodge-full-40.json": _spec(40, {"kind": "full"}),
+    "dodge-chain-40.json": _spec(40, _nodes(
+        [XSTAR, "0" * 40, "1" * 40, "10" + "1" * 38]
+        + [_periodic(g, 40) for g in ("01", "001", "011", "0001", "0011", "0111")])),
+    "reqs.json": [{"name": "u0", "words": ["1"]}, {"name": "u1", "words": ["0", "1"]}],
+    "reqs-c9.json": [{"name": "u0", "words": ["0"]}, {"name": "u1", "words": ["01"]},
+                     {"name": "u2", "words": ["10"]}, {"name": "u3", "words": ["00"]},
+                     {"name": "u4", "stages": [[0, "000"], [4, "010"]]}],
+    "sim.json": {"stage_horizon": 6, "bits": [[0, None], [1, 1], [2, 2], [3, None]]},
+}
+
+# name -> argv; input file names are resolved in the run directory
+JOBS = {
+    "validate": ["validate", "golden.json"],
+    "orbit": ["orbit", "golden.json", "--steps", "4"],
+    "recurrent": ["recurrent", "golden.json", "--stages", "3", "--trace"],
+    "minimal": ["minimal", "golden.json", "--trace"],
+    "decode-halting": ["decode-halting", "--sim", "sim.json", "--coldepth", "8"],
+    "dodge": ["dodge", "p0.json"],
+    "meet-avoid": ["meet-avoid", "golden.json", "--requests", "reqs.json"],
+    "force-least": ["force-least", "golden.json", "--phi", "prefix-one"],
+    "ap-point": ["ap-point", "golden.json", "--requests", "reqs.json", "--cmax", "2"],
+    "reduce-tree": ["reduce-tree", "tree.json", "--scan-depth", "5", "--trace"],
+    "dodge-orbit-40": ["dodge", "dodge-orbit-40.json"],
+    "dodge-full-40": ["dodge", "dodge-full-40.json"],
+    "dodge-chain-40": ["dodge", "dodge-chain-40.json"],
+    "force-least-one-at": ["force-least", "golden.json", "--phi", "one-at"],
+    "ap-point-c9-64": ["ap-point", "golden-64.json", "--requests", "reqs-c9.json",
+                       "--cmax", "4"],
+    "recurrent-piecewise": ["recurrent", "golden-pw-12.json", "--stages", "3", "--trace"],
+}
+
+_TIMING = re.compile(r'^  "timing_ms": \d+,\n', re.MULTILINE)
+
+
+def run_job(name: str, workdir: Path) -> str:
+    """The report of job ``name`` without its ``timing_ms`` line."""
+    for fname, data in INPUTS.items():
+        path = workdir / fname
+        if not path.exists():
+            path.write_text(json.dumps(data), encoding="utf-8")
+    argv = [str(workdir / a) if a in INPUTS else a for a in JOBS[name]]
+    out = workdir / f"{name}.out.json"
+    assert main(argv + ["--out", str(out)]) == 0, name
+    text, n = _TIMING.subn("", out.read_text(encoding="utf-8"))
+    assert n == 1, name
+    return text
+
+
+@pytest.mark.parametrize("name", sorted(JOBS))
+def test_report_matches_golden(name, tmp_path):
+    want = (GOLDEN_DIR / f"{name}.json").read_text(encoding="utf-8")
+    assert run_job(name, tmp_path) == want
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        for job in sorted(JOBS):
+            (GOLDEN_DIR / f"{job}.json").write_text(run_job(job, Path(tmp)), encoding="utf-8")

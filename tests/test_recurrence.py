@@ -1,18 +1,22 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cantordyn import recurrence
 from cantordyn.errors import HorizonExhausted
-from cantordyn.maps import builtin_map
-from cantordyn.recurrence import (audit_cover_stages, build_ternary_gadget,
-                                  construct_recurrent_point,
+from cantordyn.maps import builtin_map, random_normalized_map
+from cantordyn.recurrence import (_StageState, _store_stage, audit_cover_stages,
+                                  build_ternary_gadget, construct_recurrent_point,
                                   gadget_recurrent_equals_paths,
                                   gadget_recurrent_set)
+from cantordyn.refinement import PiecewiseIterate
 from cantordyn.search import iter_members
 from cantordyn.systems import (ClosedClass, DynSystem, explicit_class,
                                full_class, forbidden_window_class,
                                validate_system, verify_recurrence)
-from cantordyn.words import all_words
+from cantordyn.words import all_words, words_up_to
 
 DEPTH = 13  # 2 * scan_depth + 1 for scan depth 6
 
@@ -130,6 +134,60 @@ class TestConstructRecurrentPoint:
         with pytest.raises(HorizonExhausted) as ei:
             construct_recurrent_point(sys_, stages=6)
         assert "stage" in str(ei.value)
+
+
+    def test_deep_non_suffix_store_runs_out_of_budget(self, monkeypatch):
+        # the store walk of a non-suffix map goes to the working depth; an
+        # explicit stack lets it reach its budget instead of the recursion limit
+        N = 1200
+        f = PiecewiseIterate(1, 2, builtin_map("left-shift", 2, N),
+                             {"0": 1, "1": 2}.__getitem__).induced()
+        sys_ = DynSystem(forbidden_window_class(2, N, ["11"]), f)
+        monkeypatch.setattr(recurrence, "_STORE_NODE_BUDGET", 5000)
+        with pytest.raises(HorizonExhausted, match="store enumeration budget"):
+            construct_recurrent_point(sys_, stages=2)
+
+
+STORE_DEPTH = 7
+
+
+@st.composite
+def store_maps(draw):
+    """Suffix maps, piecewise iterates of the shift (variable drop) and
+    random normalized tables, at ``STORE_DEPTH``."""
+    kind = draw(st.sampled_from(["shift", "column", "piecewise", "random"]))
+    if kind == "shift":
+        return builtin_map("left-shift", 2, STORE_DEPTH)
+    if kind == "column":
+        return builtin_map("column-shift", 2, STORE_DEPTH, columns=2)
+    if kind == "piecewise":
+        exps = draw(st.lists(st.integers(1, 3), min_size=2, max_size=2))
+        return PiecewiseIterate(1, 3, builtin_map("left-shift", 2, STORE_DEPTH),
+                                dict(zip("01", exps)).__getitem__).induced()
+    return random_normalized_map(2, STORE_DEPTH, draw(st.randoms(use_true_random=False)))
+
+
+@given(store_maps(), st.integers(1, 3), st.integers(1, STORE_DEPTH),
+       st.sets(st.text(alphabet="01", max_size=3), min_size=1, max_size=4))
+@settings(max_examples=150, deadline=None)
+def test_store_is_minimal_qualifying_words(f, i, s, prev):
+    """The stored words are the qualifying words up to the store's cap none
+    of whose proper prefixes qualifies."""
+    N, p = STORE_DEPTH, i - 1
+    if f.suffix_step:
+        cap = min(max(s * f.suffix_step + p, max(map(len, prev)) + 1, 1), N)
+    else:
+        cap = N
+
+    def qualifies(w):
+        if not any(w[:t] in prev for t in range(len(w))):
+            return False
+        return p == 0 or (len(w) > p and any(f.iterate(w, n).startswith(w[:p])
+                                             for n in range(p, min(s, N) + 1)))
+
+    want = {w for w in words_up_to(2, cap)
+            if qualifies(w) and not any(qualifies(w[:t]) for t in range(len(w)))}
+    assert _store_stage(_StageState(f, N, i, frozenset(prev)), s, 2) == want
 
 
 class TestCoverAudit:

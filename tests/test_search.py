@@ -8,7 +8,7 @@ from cantordyn.maps import builtin_map
 from cantordyn.refinement import OpenRequest, PiecewiseIterate, RequestAvoidance
 from cantordyn.search import (OrbitAvoidance, avoidance_class, death_length,
                               find_member, iter_members)
-from cantordyn.systems import forbidden_window_class, full_class
+from cantordyn.systems import forbidden_window_class, full_class, restrict_class
 from cantordyn.words import all_words, words_up_to
 
 DEPTH = 9
@@ -21,7 +21,7 @@ class TestDeepSearch:
         golden = forbidden_window_class(2, N, ["11"])
         assert iter_members(golden, N, limit=2) == ["0" * N, "0" * (N - 1) + "1"]
         shift = builtin_map("left-shift", 2, N)
-        dies = avoidance_class(golden, [OrbitAvoidance(shift, ["0"])], "no0")
+        dies = avoidance_class(golden, OrbitAvoidance(shift, ["0"]), "no0")
         assert death_length(dies, N) == 2
         assert death_length(golden, N) is None
 
@@ -62,9 +62,15 @@ def _avoidances(m, forbidden, entries):
     return [OrbitAvoidance(m, forbidden), RequestAvoidance(m, OpenRequest("r", tuple(entries)))]
 
 
+def _checked_search(step):
+    """Every member of the full class up to ``DEPTH`` that passes ``step``,
+    which the search calls on every child of every passing node."""
+    return iter_members(restrict_class(full_class(2, DEPTH), lambda w: True, "checked",
+                                       step=step), DEPTH)
+
+
 class _Checked:
-    """Constraint that runs the incremental check and asserts it against
-    the full one."""
+    """Runs the incremental check and asserts it against the full one."""
 
     def __init__(self, av):
         self.av = av
@@ -87,11 +93,10 @@ def test_drop_descriptor_matches_rule(m):
 @given(avoidance_maps, forbidden_sets, stage_entries)
 @settings(max_examples=120, deadline=None)
 def test_incremental_matches_full_along_dfs(m, forbidden, entries):
-    space = full_class(2, DEPTH)
     for av in _avoidances(m, forbidden, entries):
         assert (av._chain if m.drop else av._suffix) is not None
         # every child of every passing node is checked, in search order
-        iter_members(space, DEPTH, [_Checked(av)])
+        _checked_search(_Checked(av).ok_extension)
 
 
 @given(avoidance_maps, forbidden_sets, stage_entries, st.randoms(use_true_random=False))
@@ -118,8 +123,7 @@ def test_request_ok_matches_definition(m, entries):
 
 
 class _Agree:
-    """Constraint that runs two avoidances and asserts they agree on both
-    checks."""
+    """Runs two avoidances and asserts they agree on both checks."""
 
     def __init__(self, a, b):
         self.a, self.b = a, b
@@ -136,7 +140,7 @@ class _Agree:
 def test_static_request_equals_forbidden_set(m, forbidden):
     a = OrbitAvoidance(m, forbidden)
     b = RequestAvoidance(m, OpenRequest.static("r", forbidden))
-    iter_members(full_class(2, DEPTH), DEPTH, [_Agree(a, b)])
+    _checked_search(_Agree(a, b).ok_extension)
 
 
 def test_request_avoidance_shares_the_checks():
@@ -157,10 +161,11 @@ def test_search_equals_brute_force_filter(count, maps, forbidden, entries, base_
     base = forbidden_window_class(2, DEPTH, base_words) if base_words else full_class(2, DEPTH)
     avs = [OrbitAvoidance(maps[0], forbidden),
            RequestAvoidance(maps[1], OpenRequest("r", tuple(entries)))][:count]
-    cls = avoidance_class(base, avs, "cls")
+    cls = base
+    for av in avs:
+        cls = avoidance_class(cls, av, "cls")
     for L in range(DEPTH + 1):
         want = [w for w in all_words(2, L)
                 if base.member(w) and all(av.ok(w) for av in avs)]
         assert iter_members(cls, L) == want, L
-        assert iter_members(base, L, avs) == want, L
         assert find_member(cls, L) == (want[0] if want else None), L

@@ -4,10 +4,10 @@ from hypothesis import strategies as st
 
 from cantordyn.errors import DepthExceeded
 from cantordyn.maps import builtin_map
-from cantordyn.search import (CylinderCompat, OrbitAvoidance, avoidance_class,
-                              death_length, find_member, iter_members)
+from cantordyn.search import (OrbitAvoidance, avoidance_class, death_length,
+                              find_member, iter_members)
 from cantordyn.systems import (APCert, APRow, DynSystem, PointApprox, RecCert,
-                               explicit_class, forbidden_window_class,
+                               cylinder_class, explicit_class, forbidden_window_class,
                                full_class, orbit_class, rec_cert_from_ap,
                                search_ap_row, stagewise_class, validate_system,
                                verify_ap, verify_recurrence, orbit)
@@ -157,12 +157,12 @@ class TestSearch:
 
     def test_avoidance(self, full_shift12):
         av = OrbitAvoidance(full_shift12.map, ["1"])
-        cls = avoidance_class(full_shift12.space, [av], "no1")
+        cls = avoidance_class(full_shift12.space, av, "no1")
         assert iter_members(cls, 12) == ["0" * 12]
 
     def test_death_length(self, golden12):
         av = OrbitAvoidance(golden12.map, ["0"])
-        cls = avoidance_class(golden12.space, [av], "no0")
+        cls = avoidance_class(golden12.space, av, "no0")
         # within golden mean, words avoiding [0] forever are just λ and "1"
         assert death_length(cls, 12) == 2
 
@@ -175,8 +175,8 @@ class TestSearch:
                 not idm.iterate(w, n).startswith("01") for n in range(len(w) + 1))
 
     def test_cylinder_compat(self, full_shift12):
-        compat = CylinderCompat(["0011"])
-        assert find_member(full_shift12.space, 12, [compat]) == "0011" + "0" * 8
+        compat = cylinder_class(full_shift12.space, ["0011"], "compat")
+        assert find_member(compat, 12) == "0011" + "0" * 8
 
 
 @given(st.text(alphabet="01", min_size=12, max_size=12))
