@@ -1,10 +1,13 @@
 """Command surface and serialization.
 
-Spec files, request files and halting simulations are JSON; reports are
-emitted as canonically ordered JSON (sorted keys, two-space indent) so that
-identical inputs give byte-identical output, with the timing field as the
-single nondeterministic entry.  Exit status is 0 exactly when every embedded
-certificate re-verifies through the independent checkers.
+Spec files, request files and halting simulations are JSON.  Each
+``cmd_*`` function maps the parsed arguments and spec to ``(inputs,
+outcome, certificates, verified)``; :func:`main` alone reads the spec,
+times the run and emits the report as canonically ordered JSON (sorted
+keys, two-space indent), so identical inputs give byte-identical output
+with ``timing_ms`` as the single nondeterministic entry.  Exit status is 0
+exactly when every embedded certificate re-verifies through the independent
+checkers, 1 when one does not, and 2 on malformed input.
 """
 
 from __future__ import annotations
@@ -195,26 +198,6 @@ def digest(obj) -> str:
     return hashlib.sha256(canonical_json(obj).encode()).hexdigest()[:16]
 
 
-@dataclass
-class RunReport:
-    command: str
-    inputs: dict
-    outcome: dict
-    certificates: dict
-    verified: bool
-    timing_ms: int
-
-    def emit(self) -> str:
-        return canonical_json({
-            "command": self.command,
-            "inputs_digest": digest(self.inputs),
-            "outcome": self.outcome,
-            "certificates": self.certificates,
-            "verified": self.verified,
-            "timing_ms": self.timing_ms,
-        })
-
-
 def load_requests(path: str, k: int) -> list[ref.OpenRequest]:
     """The requests in a file, with every word checked against alphabet ``k``."""
     with open(path, encoding="utf-8") as fh:
@@ -275,35 +258,12 @@ def _sample_members(space: ClosedClass, depth: int, limit: int = 8) -> list[str]
     return iter_members(space, depth, limit=limit)
 
 
-def _read_spec_file(path: str) -> SystemSpec:
-    with open(path, encoding="utf-8") as fh:
-        return parse_spec(fh.read())
+def cmd_validate(args, spec: SystemSpec):
+    rep = validate_system(DynSystem(spec.build_tree(), spec.build_map()))
+    return {}, rep.to_json(), {}, rep.ok
 
 
-def _finish(report: RunReport, out_path: str | None) -> int:
-    text = report.emit()
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return 0 if report.verified else 1
-
-
-def cmd_validate(args) -> int:
-    spec = _read_spec_file(args.spec)
-    t0 = time.monotonic()
-    sys_ = DynSystem(spec.build_tree(), spec.build_map())
-    rep = validate_system(sys_)
-    report = RunReport("validate", {"spec": emit_spec(spec)},
-                       rep.to_json(), {}, rep.ok,
-                       int((time.monotonic() - t0) * 1000))
-    return _finish(report, args.out)
-
-
-def cmd_orbit(args) -> int:
-    spec = _read_spec_file(args.spec)
-    t0 = time.monotonic()
+def cmd_orbit(args, spec: SystemSpec):
     sys_ = spec.build()
     word = args.point or find_member(sys_.space, sys_.depth)
     if word is None:
@@ -311,15 +271,10 @@ def cmd_orbit(args) -> int:
     steps = args.steps if args.steps is not None else sys_.depth
     orb = sys_.map.orbit(word, steps)
     ok = all(sys_.space.member(w) for w in orb)
-    report = RunReport("orbit", {"spec": emit_spec(spec), "point": word, "steps": steps},
-                       {"orbit": orb, "stays_in_class": ok}, {}, ok,
-                       int((time.monotonic() - t0) * 1000))
-    return _finish(report, args.out)
+    return {"point": word, "steps": steps}, {"orbit": orb, "stays_in_class": ok}, {}, ok
 
 
-def cmd_recurrent(args) -> int:
-    spec = _read_spec_file(args.spec)
-    t0 = time.monotonic()
+def cmd_recurrent(args, spec: SystemSpec):
     sys_ = spec.build()
     X, cert, stages = rec.construct_recurrent_point(sys_, stages=args.stages)
     ok = verify_recurrence(X, cert) and rec.audit_cover_stages(sys_, stages).ok
@@ -329,60 +284,39 @@ def cmd_recurrent(args) -> int:
     if args.trace:
         outcome["stages_full"] = [{"i": st.i, "s": st.s, "U": list(st.U), "V": list(st.V)}
                                   for st in stages]
-    report = RunReport("recurrent", {"spec": emit_spec(spec), "stages": args.stages},
-                       outcome, {"recurrence": cert.to_json()}, ok,
-                       int((time.monotonic() - t0) * 1000))
-    return _finish(report, args.out)
+    return {"stages": args.stages}, outcome, {"recurrence": cert.to_json()}, ok
 
 
-def cmd_minimal(args) -> int:
-    spec = _read_spec_file(args.spec)
-    t0 = time.monotonic()
-    sys_ = spec.build()
-    msys, chain = mnl.minimal_subsystem(sys_, enum_len=args.enum_len)
+def cmd_minimal(args, spec: SystemSpec):
+    msys, chain = mnl.minimal_subsystem(spec.build(), enum_len=args.enum_len)
     rep = validate_system(msys)
     outcome = {"pruned": chain.pruned_words(),
                "members_sample": _sample_members(msys.space, msys.depth)}
     if args.trace:
         outcome["chain"] = chain.to_json()
-    report = RunReport("minimal", {"spec": emit_spec(spec), "enum_len": args.enum_len},
-                       outcome, {"validation": rep.to_json()}, rep.ok,
-                       int((time.monotonic() - t0) * 1000))
-    return _finish(report, args.out)
+    return {"enum_len": args.enum_len}, outcome, {"validation": rep.to_json()}, rep.ok
 
 
-def cmd_decode_halting(args) -> int:
+def cmd_decode_halting(args, spec: None):
     sim = load_sim(args.sim)
-    t0 = time.monotonic()
-    if not sim.bits:
-        report = RunReport("decode-halting",
-                           {"sim": {"bits": [], "stage_horizon": sim.stage_horizon},
-                            "coldepth": args.coldepth, "enum_len": 0},
-                           {"bits": {}, "pruned": []}, {}, True,
-                           int((time.monotonic() - t0) * 1000))
-        return _finish(report, args.out)
     parts = [mnl.build_bit_coder(n, sim, args.coldepth) for n, _ in sim.bits]
-    product = mnl.product_system(parts)
-    enum_len = args.enum_len if args.enum_len is not None else len(parts) + 2
-    msys, chain = mnl.minimal_subsystem(product, enum_len=enum_len)
+    enum_len = len(parts) + 2 if args.enum_len is None else args.enum_len
+    inputs = {"sim": {"bits": [[n, t] for n, t in sim.bits],
+                      "stage_horizon": sim.stage_horizon},
+              "coldepth": args.coldepth, "enum_len": enum_len if parts else 0}
+    if not parts:
+        return inputs, {"bits": {}, "pruned": []}, {}, True
+    msys, chain = mnl.minimal_subsystem(mnl.product_system(parts), enum_len=enum_len)
     decoded = {}
     ok = True
     for n, t in sim.bits:
         got = mnl.decode_bit(msys, n)
         decoded[str(n)] = {"decoded": got, "simulated": t is not None}
         ok = ok and (got == (t is not None))
-    outcome = {"bits": decoded, "pruned": chain.pruned_words()}
-    report = RunReport("decode-halting",
-                       {"sim": {"bits": [[n, t] for n, t in sim.bits],
-                                "stage_horizon": sim.stage_horizon},
-                        "coldepth": args.coldepth, "enum_len": enum_len},
-                       outcome, {}, ok, int((time.monotonic() - t0) * 1000))
-    return _finish(report, args.out)
+    return inputs, {"bits": decoded, "pruned": chain.pruned_words()}, {}, ok
 
 
-def cmd_dodge(args) -> int:
-    spec = _read_spec_file(args.spec)
-    t0 = time.monotonic()
+def cmd_dodge(args, spec: SystemSpec):
     P = spec.build_tree()
     out = avd.build_dodging_class(P, max_period=args.max_period,
                                   sigma_stages=args.sigma_stages)
@@ -403,16 +337,12 @@ def cmd_dodge(args) -> int:
                    "verify_not_ap": not_ap}
         certs = {"sigma": {"sigmas": list(sig.sigmas), "reps": list(sig.reps),
                            "cuts": list(sig.cuts)} if sig else None}
-    report = RunReport("dodge", {"spec": emit_spec(spec), "max_period": args.max_period,
-                                 "sigma_stages": args.sigma_stages},
-                       outcome, certs, ok, int((time.monotonic() - t0) * 1000))
-    return _finish(report, args.out)
+    inputs = {"max_period": args.max_period, "sigma_stages": args.sigma_stages}
+    return inputs, outcome, certs, ok
 
 
-def cmd_meet_avoid(args) -> int:
-    spec = _read_spec_file(args.spec)
+def cmd_meet_avoid(args, spec: SystemSpec):
     requests = load_requests(args.requests, spec.alphabet)
-    t0 = time.monotonic()
     sys_ = spec.build()
     cur = sys_
     cases = []
@@ -426,63 +356,41 @@ def cmd_meet_avoid(args) -> int:
         certs[rq.name] = _piecewise_cert_json(r.cert)
         cur = r.child
     outcome = {"cases": cases, "final_sample": _sample_members(cur.space, cur.depth)}
-    report = RunReport("meet-avoid", {"spec": emit_spec(spec),
-                                      "requests": [rq.name for rq in requests]},
-                       outcome, certs, ok, int((time.monotonic() - t0) * 1000))
-    return _finish(report, args.out)
+    return {"requests": [rq.name for rq in requests]}, outcome, certs, ok
 
 
-def cmd_force_least(args) -> int:
-    spec = _read_spec_file(args.spec)
+def cmd_force_least(args, spec: SystemSpec):
     if args.phi not in PHI_REGISTRY:
         raise SpecFormatError(f"unknown predicate {args.phi!r} "
                               f"(known: {sorted(PHI_REGISTRY)})", "--phi")
-    t0 = time.monotonic()
     sys_ = spec.build()
     phi = ref.Phi1Predicate(args.phi, PHI_REGISTRY[args.phi], args.phi_param)
     r, outcome = ref.least_element_forcing(sys_, phi)
     soundness = ref.check_refinement_cert(r, max_len=min(sys_.depth, 10))
-    report = RunReport("force-least",
-                       {"spec": emit_spec(spec), "phi": args.phi, "param": args.phi_param},
-                       {"outcome": outcome[0], "b": outcome[1],
-                        "child_sample": _sample_members(r.child.space, r.child.depth)},
-                       {"piecewise": _piecewise_cert_json(r.cert)},
-                       soundness.ok, int((time.monotonic() - t0) * 1000))
-    return _finish(report, args.out)
+    return ({"phi": args.phi, "param": args.phi_param},
+            {"outcome": outcome[0], "b": outcome[1],
+             "child_sample": _sample_members(r.child.space, r.child.depth)},
+            {"piecewise": _piecewise_cert_json(r.cert)}, soundness.ok)
 
 
-def cmd_ap_point(args) -> int:
-    spec = _read_spec_file(args.spec)
+def cmd_ap_point(args, spec: SystemSpec):
     requests = load_requests(args.requests, spec.alphabet) if args.requests else []
-    t0 = time.monotonic()
-    sys_ = spec.build()
-    X, cert, log = ref.construct_ap_point(sys_, requests, c_max=args.cmax)
+    X, cert, log = ref.construct_ap_point(spec.build(), requests, c_max=args.cmax)
     sound = ref.check_piecewise_samples(log.chain, log.final.map, samples=200,
                                         seed=args.seed)
-    ok = verify_ap(X, cert) and sound.ok
-    outcome = {"point": X.prefix, "stages": log.to_json()}
-    report = RunReport("ap-point",
-                       {"spec": emit_spec(spec), "requests": [r.name for r in requests],
-                        "cmax": args.cmax, "seed": args.seed},
-                       outcome,
-                       {"ap": cert.to_json(), "chain": _piecewise_cert_json(log.chain)},
-                       ok, int((time.monotonic() - t0) * 1000))
-    return _finish(report, args.out)
+    return ({"requests": [r.name for r in requests], "cmax": args.cmax, "seed": args.seed},
+            {"point": X.prefix, "stages": log.to_json()},
+            {"ap": cert.to_json(), "chain": _piecewise_cert_json(log.chain)},
+            verify_ap(X, cert) and sound.ok)
 
 
-def cmd_reduce_tree(args) -> int:
-    spec = _read_spec_file(args.spec)
-    t0 = time.monotonic()
+def cmd_reduce_tree(args, spec: SystemSpec):
     tree = spec.build_tree()
     equal = rec.gadget_recurrent_equals_paths(tree, args.scan_depth)
     outcome = {"scan_depth": args.scan_depth, "recurrent_equals_paths": equal}
     if args.trace:
-        recset = rec.gadget_recurrent_set(tree, args.scan_depth)
-        outcome["recurrent_set"] = sorted(recset)
-    report = RunReport("reduce-tree", {"spec": emit_spec(spec),
-                                       "scan_depth": args.scan_depth},
-                       outcome, {}, equal, int((time.monotonic() - t0) * 1000))
-    return _finish(report, args.out)
+        outcome["recurrent_set"] = sorted(rec.gadget_recurrent_set(tree, args.scan_depth))
+    return {"scan_depth": args.scan_depth}, outcome, {}, equal
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -491,82 +399,82 @@ def build_parser() -> argparse.ArgumentParser:
                                             "with machine-checkable certificates")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("spec", help="system spec file (JSON)")
+    def command(name, fn, help, spec=True, trace=False):
+        sp = sub.add_parser(name, help=help)
+        if spec:
+            sp.add_argument("spec", help="system spec file (JSON)")
         sp.add_argument("--out", help="write the report here instead of stdout")
-        sp.add_argument("--trace", action="store_true", help="include full audit data")
-        sp.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
+        if trace:
+            sp.add_argument("--trace", action="store_true", help="include full audit data")
+        sp.set_defaults(fn=fn)
+        return sp
 
-    sp = sub.add_parser("validate", help="check the four system conditions")
-    common(sp)
-    sp.set_defaults(fn=cmd_validate)
+    command("validate", cmd_validate, "check the four system conditions")
 
-    sp = sub.add_parser("orbit", help="orbit of a point approximation")
-    common(sp)
+    sp = command("orbit", cmd_orbit, "orbit of a point approximation")
     sp.add_argument("--point", help="start word (default: least full-depth member)")
     sp.add_argument("--steps", type=int)
-    sp.set_defaults(fn=cmd_orbit)
 
-    sp = sub.add_parser("recurrent", help="construct a recurrent point")
-    common(sp)
+    sp = command("recurrent", cmd_recurrent, "construct a recurrent point", trace=True)
     sp.add_argument("--stages", type=int, default=6)
-    sp.set_defaults(fn=cmd_recurrent)
 
-    sp = sub.add_parser("minimal", help="greedy minimal subsystem")
-    common(sp)
+    sp = command("minimal", cmd_minimal, "greedy minimal subsystem", trace=True)
     sp.add_argument("--enum-len", type=int, default=4)
-    sp.set_defaults(fn=cmd_minimal)
 
-    sp = sub.add_parser("decode-halting", help="code and decode a halting simulation")
+    sp = command("decode-halting", cmd_decode_halting,
+                 "code and decode a halting simulation", spec=False)
     sp.add_argument("--sim", required=True, help="halting simulation file (JSON)")
     sp.add_argument("--coldepth", type=int, default=8, help="depth per column")
     sp.add_argument("--enum-len", type=int, default=None)
-    sp.add_argument("--out")
-    sp.add_argument("--trace", action="store_true")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.set_defaults(fn=cmd_decode_halting)
 
-    sp = sub.add_parser("dodge", help="periodic-orbit dodging construction")
-    common(sp)
+    sp = command("dodge", cmd_dodge, "periodic-orbit dodging construction")
     sp.add_argument("--max-period", type=int, default=4)
     sp.add_argument("--sigma-stages", type=int, default=4)
-    sp.set_defaults(fn=cmd_dodge)
 
-    sp = sub.add_parser("meet-avoid", help="meet-or-avoid refinement chain")
-    common(sp)
+    sp = command("meet-avoid", cmd_meet_avoid, "meet-or-avoid refinement chain")
     sp.add_argument("--requests", required=True, help="requests file (JSON)")
-    sp.set_defaults(fn=cmd_meet_avoid)
 
-    sp = sub.add_parser("force-least", help="least-witness forcing")
-    common(sp)
+    sp = command("force-least", cmd_force_least, "least-witness forcing")
     sp.add_argument("--phi", required=True, help=f"predicate name ({sorted(PHI_REGISTRY)})")
     sp.add_argument("--phi-param")
-    sp.set_defaults(fn=cmd_force_least)
 
-    sp = sub.add_parser("ap-point", help="construct an almost periodic point")
-    common(sp)
+    sp = command("ap-point", cmd_ap_point, "construct an almost periodic point")
     sp.add_argument("--requests", help="requests file (JSON)")
     sp.add_argument("--cmax", type=int, default=4)
-    sp.set_defaults(fn=cmd_ap_point)
+    sp.add_argument("--seed", type=int, default=0, help="seed for the sampled chain check")
 
-    sp = sub.add_parser("reduce-tree", help="tree-path reduction oracle")
-    common(sp)
+    sp = command("reduce-tree", cmd_reduce_tree, "tree-path reduction oracle", trace=True)
     sp.add_argument("--scan-depth", type=int, default=6)
-    sp.set_defaults(fn=cmd_reduce_tree)
     return p
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        spec = None
+        if "spec" in args:
+            with open(args.spec, encoding="utf-8") as fh:
+                spec = parse_spec(fh.read())
+        t0 = time.monotonic()
+        inputs, outcome, certificates, verified = args.fn(args, spec)
+        timing_ms = int((time.monotonic() - t0) * 1000)
     except SpecFormatError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except CantorDynError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    if spec is not None:
+        inputs["spec"] = emit_spec(spec)
+    text = canonical_json({"command": args.command, "inputs_digest": digest(inputs),
+                           "outcome": outcome, "certificates": certificates,
+                           "verified": verified, "timing_ms": timing_ms})
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+    return 0 if verified else 1
 
 
 if __name__ == "__main__":

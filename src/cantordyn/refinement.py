@@ -37,7 +37,7 @@ class PiecewiseIterate:
     so certificates with large ``l`` stay usable.
     """
 
-    __slots__ = ("l", "b", "base", "_jfunc", "_jmemo", "_induced")
+    __slots__ = ("l", "b", "base", "j", "_induced")
 
     def __init__(self, l: int, b: int, base: CodedMap, jfunc: Callable[[str], int]):
         if l < 0 or b < 1:
@@ -45,20 +45,23 @@ class PiecewiseIterate:
         self.l = l
         self.b = b
         self.base = base
-        self._jfunc = jfunc
-        self._jmemo: dict[str, int] = {}
         self._induced: CodedMap | None = None
+        memo: dict[str, int] = {}
 
-    def j(self, w: str) -> int:
-        if len(w) != self.l:
-            raise ValueError(f"lookup word must have length {self.l}")
-        got = self._jmemo.get(w)
-        if got is None:
-            got = self._jfunc(w)
-            if not 1 <= got <= self.b:
-                raise ValueError(f"exponent {got} outside 1..{self.b}")
-            self._jmemo[w] = got
-        return got
+        # a closure, not a method: the induced map captures it, and must not
+        # capture the certificate that caches the map
+        def j(w: str) -> int:
+            if len(w) != l:
+                raise ValueError(f"lookup word must have length {l}")
+            got = memo.get(w)
+            if got is None:
+                got = jfunc(w)
+                if not 1 <= got <= b:
+                    raise ValueError(f"exponent {got} outside 1..{b}")
+                memo[w] = got
+            return got
+
+        self.j = j
 
     def induced(self) -> CodedMap:
         """The induced map, cached so identity comparisons work along chains.
@@ -67,13 +70,13 @@ class PiecewiseIterate:
         ``d = s·j``, and carries that descriptor for the searches.
         """
         if self._induced is None:
-            base, l = self.base, self.l
+            base, l, j = self.base, self.l, self.j
             s = base.suffix_step
 
             def rule(w: str) -> str:
                 if len(w) < l:
                     return ""
-                return base.iterate(w, self.j(w[:l]))
+                return base.iterate(w, j(w[:l]))
 
             moduli = {0: 0}
             for t in range(1, base.depth + 1):
@@ -86,7 +89,7 @@ class PiecewiseIterate:
                 need = max(need, l)
                 if need <= base.depth:
                     moduli[t] = need
-            drop = (l, lambda w: s * self.j(w)) if s else None
+            drop = (l, lambda w: s * j(w)) if s else None
             self._induced = CodedMap(base.k, base.depth, rule, moduli,
                                      shrinking=base.shrinking, drop=drop,
                                      name=f"pw(l={l},b={self.b})∘{base.name}")
@@ -449,6 +452,8 @@ def construct_ap_point(sys_: DynSystem, requests: list[OpenRequest], c_max: int 
     N = sys_.depth
     chain = trivial_cert(f0)
     cur = DynSystem(sys_.space, chain.induced())
+    # the same map one meet factor at a time, for the chain's soundness check
+    stepwise = cur.map
     log = ApForcingLog()
 
     schedule: list[tuple[str, object]] = []
@@ -467,6 +472,8 @@ def construct_ap_point(sys_: DynSystem, requests: list[OpenRequest], c_max: int 
             if case == "meet":
                 chain = compose(ref.cert, chain)
                 cur = DynSystem(ref.child.space, chain.induced())
+                stepwise = PiecewiseIterate(ref.cert.l, ref.cert.b, stepwise,
+                                            ref.cert.j).induced()
             else:
                 cur = DynSystem(ref.child.space, cur.map)
             log.stages.append(ApStageRecord("request", payload.name, case=case,
@@ -497,5 +504,5 @@ def construct_ap_point(sys_: DynSystem, requests: list[OpenRequest], c_max: int 
         rows.append(row)
     cert = APCert(tuple(rows))
     log.chain = chain
-    log.final = DynSystem(cur.space, chain.induced())
+    log.final = DynSystem(cur.space, stepwise)
     return X, cert, log

@@ -286,13 +286,6 @@ def validate_system(sys_: DynSystem, max_len: int | None = None) -> Report:
     return rep
 
 
-def orbit(X: PointApprox, steps: int) -> list[str]:
-    """``[f^0(X↾N), …, f^steps(X↾N)]``."""
-    if steps > X.system.depth:
-        raise ValueError("steps beyond depth")
-    return X.system.map.orbit(X.prefix, steps)
-
-
 def verify_recurrence(X: PointApprox, cert: RecCert) -> bool:
     """Check every row ``(c, n, l)``: ``l > c``, ``n ≥ 1`` and
     ``f^n(X↾l) ⪰ X↾c`` with the iterate long enough to decide.

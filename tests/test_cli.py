@@ -1,8 +1,10 @@
+import argparse
+import inspect
 import json
 
 import pytest
 
-from cantordyn.cli import main, parse_spec, emit_spec
+from cantordyn.cli import build_parser, main, parse_spec, emit_spec
 from cantordyn.errors import SpecFormatError
 
 GOLDEN = {"alphabet": 2, "depth": 16, "stage_horizon": 0,
@@ -175,6 +177,26 @@ class TestCommands:
         assert code == 0 and rep["verified"]
         assert rep["certificates"]["ap"]["rows"]
 
+    def test_ap_point_catches_corrupt_compose(self, tmp_path, monkeypatch):
+        # the chain is checked against the stage-by-stage map, so a composed
+        # certificate that disagrees with its factors fails the report
+        from cantordyn import refinement
+        real = refinement.compose
+
+        def corrupt(outer, inner):
+            c = real(outer, inner)
+            return refinement.PiecewiseIterate(c.l, c.b + 1, c.base, lambda w: c.j(w) + 1)
+
+        monkeypatch.setattr(refinement, "compose", corrupt)
+        spec, reqs = tmp_path / "golden-64.json", tmp_path / "reqs-c9.json"
+        spec.write_text(json.dumps(dict(GOLDEN, depth=64)))
+        reqs.write_text(json.dumps([{"name": "u0", "words": ["0"]}, {"name": "u1", "words": ["01"]},
+                                    {"name": "u2", "words": ["10"]}, {"name": "u3", "words": ["00"]},
+                                    {"name": "u4", "stages": [[0, "000"], [4, "010"]]}]))
+        code, rep = run_to_json(["ap-point", str(spec), "--requests", str(reqs)],
+                                tmp_path, "ap.json")
+        assert code == 1 and not rep["verified"]
+
     def test_reduce_tree(self, tmp_path):
         p = tmp_path / "t.json"
         p.write_text(json.dumps({"alphabet": 2, "depth": 13,
@@ -306,6 +328,31 @@ class TestCommands:
         p.write_text(json.dumps(dict(GOLDEN, depth=1500, tree={"kind": "full"})))
         code, rep = run_to_json(["validate", str(p)], tmp_path, "deep-out.json")
         assert code == 0 and rep["verified"]
+
+
+def _subcommands() -> dict:
+    parser = build_parser()
+    return next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+class TestParser:
+    @pytest.mark.parametrize("name", sorted(_subcommands()))
+    def test_every_option_is_read(self, name):
+        # main reads spec and out; every other option must be read by the command
+        sp = _subcommands()[name]
+        source = inspect.getsource(sp.get_default("fn"))
+        dests = [a.dest for a in sp._actions if not isinstance(a, argparse._HelpAction)]
+        assert [d for d in dests if d not in ("out", "spec")
+                and f"args.{d}" not in source] == []
+
+    @pytest.mark.parametrize("argv", [["validate", "spec.json", "--seed", "1"],
+                                      ["dodge", "spec.json", "--trace"]],
+                             ids=["validate-seed", "dodge-trace"])
+    def test_unread_flag_is_rejected(self, argv):
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        assert e.value.code == 2
 
 
 def _stable(report: dict) -> str:

@@ -53,6 +53,7 @@ INPUTS = {
                      {"name": "u2", "words": ["10"]}, {"name": "u3", "words": ["00"]},
                      {"name": "u4", "stages": [[0, "000"], [4, "010"]]}],
     "sim.json": {"stage_horizon": 6, "bits": [[0, None], [1, 1], [2, 2], [3, None]]},
+    "sim-empty.json": {"stage_horizon": 4, "bits": []},
 }
 
 # name -> argv; input file names are resolved in the run directory
@@ -74,6 +75,14 @@ JOBS = {
     "ap-point-c9-64": ["ap-point", "golden-64.json", "--requests", "reqs-c9.json",
                        "--cmax", "4"],
     "recurrent-piecewise": ["recurrent", "golden-pw-12.json", "--stages", "3", "--trace"],
+    "decode-halting-empty": ["decode-halting", "--sim", "sim-empty.json"],
+    "orbit-point": ["orbit", "golden.json", "--point", "0100101001001010", "--steps", "3"],
+    "ap-point-no-requests": ["ap-point", "golden.json", "--cmax", "2"],
+    "ap-point-seed-3": ["ap-point", "golden.json", "--requests", "reqs.json", "--cmax", "2",
+                        "--seed", "3"],
+    "recurrent-untraced": ["recurrent", "golden.json", "--stages", "3"],
+    "minimal-untraced": ["minimal", "golden.json"],
+    "reduce-tree-untraced": ["reduce-tree", "tree.json", "--scan-depth", "5"],
 }
 
 _TIMING = re.compile(r'^  "timing_ms": \d+,\n', re.MULTILINE)

@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -5,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cantordyn.errors import HorizonExhausted
-from cantordyn.maps import builtin_map
+from cantordyn.maps import CodedMap, builtin_map
 from cantordyn.minimal import s_orbit
 from cantordyn.refinement import (OpenRequest, Phi1Predicate, PiecewiseIterate,
                                   Refinement, check_piecewise_samples,
@@ -54,6 +55,26 @@ class TestInducedMap:
         cert = PiecewiseIterate(1, 1, shift(), lambda w: 2)
         with pytest.raises(ValueError):
             cert.induced().apply("01")
+
+    def test_freed_without_cyclic_gc(self):
+        # the induced map must not refer back to its certificate, or both
+        # (and their memos) live until the cyclic collector runs
+        f = shift()
+
+        def live():
+            return sum(isinstance(o, (PiecewiseIterate, CodedMap)) for o in gc.get_objects())
+
+        gc.collect()
+        gc.disable()
+        try:
+            before = live()
+            cert = PiecewiseIterate(1, 2, f, {"0": 1, "1": 2}.__getitem__)
+            assert cert.induced().apply("0110") == "110"
+            del cert
+            after = live()
+        finally:
+            gc.enable()
+        assert after == before
 
 
 def random_cert_pair(seed):

@@ -10,7 +10,7 @@ from cantordyn.systems import (APCert, APRow, DynSystem, PointApprox, RecCert,
                                cylinder_class, explicit_class, forbidden_window_class,
                                full_class, orbit_class, rec_cert_from_ap,
                                search_ap_row, stagewise_class, validate_system,
-                               verify_ap, verify_recurrence, orbit)
+                               verify_ap, verify_recurrence)
 from cantordyn.words import all_words, periodic_word
 
 
@@ -71,6 +71,10 @@ class TestValidateSystem:
         rep = validate_system(sys_)
         assert not rep.ok
         assert any(c == "forward-invariance" for c, _, _ in rep.entries)
+
+
+def orbit(X: PointApprox, steps: int) -> list[str]:
+    return X.system.map.orbit(X.prefix, steps)
 
 
 class TestOrbit:
