@@ -10,7 +10,7 @@ independent verifier re-checks.
 from .errors import (CantorDynError, DepthExceeded, EmptyClassError,
                      HorizonExhausted, InconsistentDepth, ModulusExhausted,
                      NotMinimal, SpecFormatError, UndecidedAtDepth)
-from .maps import CodedMap, builtin_map, iterate_map, normalize
+from .maps import CodedMap, builtin_map, normalize
 from .systems import (APCert, APRow, ClosedClass, DynSystem, PointApprox,
                       RecCert, Report, explicit_class,
                       forbidden_window_class, full_class, orbit_class,
@@ -28,6 +28,6 @@ from .refinement import (OpenRequest, Phi1Predicate, PiecewiseIterate,
                          PredicateRequest, Refinement, check_refinement_cert,
                          compose, construct_ap_point,
                          least_element_forcing, meet_or_avoid, nbh_periodicity,
-                         return_bound_check, trivial_cert)
+                         trivial_cert)
 
 __version__ = "0.1.0"

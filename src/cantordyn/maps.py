@@ -174,35 +174,6 @@ def normalize(m: CodedMap) -> CodedMap:
                     name=f"normalize({m.name})")
 
 
-def iterate_map(m: CodedMap, n: int) -> CodedMap:
-    """Package ``f^n`` as a CodedMap with the composed modulus.
-
-    The modulus for output length ``l`` is ``m`` composed ``n`` times starting
-    from ``l``; if the chain leaves the witnessed range the length is simply
-    not recorded, and a map with no surviving witnesses raises
-    :class:`ModulusExhausted`.
-    """
-    if n < 0:
-        raise ValueError("negative iterate count")
-    if n == 0:
-        return CodedMap(m.k, m.depth, lambda w: w, {l: l for l in range(m.depth + 1)},
-                        shrinking=False, suffix_step=0, name=f"{m.name}^0")
-    moduli = {0: 0}
-    for l in range(1, m.depth + 1):
-        need = l
-        try:
-            for _ in range(n):
-                need = m.modulus(need)
-        except ModulusExhausted:
-            continue
-        moduli[l] = need
-    if len(moduli) == 1:
-        raise ModulusExhausted(1, f"{m.name}^{n}: composed modulus exceeds depth")
-    step = m.suffix_step * n if m.suffix_step else None
-    return CodedMap(m.k, m.depth, lambda w: m.iterate(w, n), moduli,
-                    shrinking=m.shrinking, suffix_step=step, name=f"{m.name}^{n}")
-
-
 def builtin_map(kind: str, k: int, depth: int, *, columns: int | None = None) -> CodedMap:
     """The named normalized map: ``left-shift``, ``identity`` (normalized to
     drop the last letter) or ``column-shift`` over interleaved columns, where

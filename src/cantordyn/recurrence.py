@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import EmptyClassError, HorizonExhausted
+from .errors import EmptyClassError, HorizonExhausted, ModulusExhausted
 from .maps import CodedMap
 from .search import find_member, iter_members, live_nodes
 from .systems import (ClosedClass, DynSystem, PointApprox, RecCert, Report, cylinder_class,
@@ -196,18 +196,26 @@ def _covered(state: _StageState, v: str, s: int) -> bool:
 
 
 def _store_stage(state: _StageState, s: int, k: int) -> set[str]:
-    """Minimal qualifying words, up to the length where qualification is
-    determined by the prefix (suffix maps) or the working depth.
+    """Minimal qualifying words, up to the length that decides qualification.
+
+    Let ``m`` be the ``s``-fold modulus of the precision ``p``.  For
+    ``n ≤ s``, ``f^n(w↾m)`` is a prefix of ``f^n(w)`` at least ``p`` letters
+    long, so a word longer than ``m`` and than every word of the previous
+    store qualifies exactly when its prefix of that length does, and no
+    minimal qualifying word is longer.  For a suffix map ``σ ↦ σ[step:]``,
+    ``m`` is ``s·step + p``; when the map records no such modulus the cap is
+    the working depth.
 
     The walk searches the class of words with no stored proper prefix, so it
     never descends below a word it has stored."""
-    step = state.f.suffix_step
+    need = state.precision
+    try:
+        for _ in range(s):
+            need = state.f.modulus(need)
+    except ModulusExhausted:
+        need = state.depth
     prev_max = max((len(w) for w in state.prev_store), default=0)
-    if step:
-        cap = max(s * step + state.precision, prev_max + 1, 1)
-        cap = min(cap, state.depth)
-    else:
-        cap = state.depth
+    cap = min(max(need, prev_max + 1, 1), state.depth)
     stored: set[str] = set()
     walk = ClosedClass(k, state.depth,
                        lambda w: not any(w[:t] in stored for t in range(len(w))),

@@ -116,7 +116,7 @@ def compose(outer: PiecewiseIterate, inner: PiecewiseIterate) -> PiecewiseIterat
     inner exponents along the outer iteration.
     """
     g = outer.base
-    if inner._induced is not g and not _maps_agree(inner.induced(), g):
+    if g is not inner.induced():
         raise ValueError("outer certificate is not over the map induced by inner")
     f = inner.base
     b3 = inner.b * outer.b
@@ -142,13 +142,6 @@ def compose(outer: PiecewiseIterate, inner: PiecewiseIterate) -> PiecewiseIterat
     return PiecewiseIterate(l3, b3, f, j3)
 
 
-def _maps_agree(a: CodedMap, b: CodedMap, max_len: int = 8) -> bool:
-    if a.k != b.k or a.depth != b.depth:
-        return False
-    cap = min(max_len, a.depth)
-    return all(a.apply(w) == b.apply(w) for w in words_up_to(a.k, cap))
-
-
 @dataclass(frozen=True)
 class Refinement:
     child: DynSystem
@@ -159,11 +152,13 @@ class Refinement:
 
 
 def check_refinement_cert(r: Refinement, max_len: int = 12) -> Report:
-    """Cert soundness, exhaustive: the child's map equals ``f^{j(σ↾l)}(σ)``
-    for every σ with ``l ≤ |σ| ≤ max_len``."""
+    """Cert soundness and invariance, exhaustive for ``l ≤ |σ| ≤ max_len``:
+    the child's map equals ``f^{j(σ↾l)}(σ)`` on every σ, and sends every
+    child member to a child member."""
     rep = Report()
     cert = r.cert
     f = cert.base
+    member = r.child.space.member
     cap = min(max_len, r.child.depth)
     for n in range(cert.l, cap + 1):
         for w in all_words(f.k, n):
@@ -171,6 +166,8 @@ def check_refinement_cert(r: Refinement, max_len: int = 12) -> Report:
             got = r.child.map.apply(w)
             if got != want:
                 rep.add("cert-soundness", w, f"child map {got!r} != f^j {want!r}")
+            if member(w) and not member(want):
+                rep.add("cert-invariance", w, f"f^j image {want!r} leaves the child")
     return rep
 
 
@@ -188,19 +185,6 @@ def check_piecewise_samples(cert: PiecewiseIterate, against: CodedMap,
         if against.apply(w) != want:
             rep.add("cert-soundness", w, "sampled mismatch")
     return rep
-
-
-def return_bound_check(r: Refinement, X: PointApprox) -> bool:
-    """Bounded returns into the child: for every start ``n`` some ``k ≤ b``
-    puts the orbit word back inside the child's tree."""
-    b = r.cert.b
-    N = X.system.depth
-    orb = X.system.map.orbit(X.prefix, N)
-    space = r.child.space
-    for n in range(N - b + 1):
-        if not any(space.member(orb[n + k]) for k in range(b + 1) if n + k <= N):
-            return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -321,8 +305,8 @@ def least_element_forcing(sys_: DynSystem, phi: Phi1Predicate
 
     Outcome ``("empty", None)``: no member of the child has any witness.
     Outcome ``("least", b)``: every full-depth member's least witness is b.
+    The bound ``b`` is the least one whose request ``O(<= b)`` is met.
     """
-    f = sys_.map
     N = sys_.depth
     memo: dict[tuple[int, str], bool] = {}
 
@@ -337,36 +321,22 @@ def least_element_forcing(sys_: DynSystem, phi: Phi1Predicate
     def o_le(n: int) -> Callable[[str], bool]:
         return lambda tau: any(phi_at(m, tau) for m in range(n + 1))
 
-    least_dead = None
-    for n in range(N + 1):
-        cls = avoidance_class(sys_.space, PredicateAvoidance(f, o_le(n)),
-                              name=f"C(<= {n})")
-        if find_member(cls, N) is None:
-            least_dead = n
+    for b in range(N + 1):
+        ref, case = meet_or_avoid(sys_, PredicateRequest(f"O(<= {b})", o_le(b)))
+        if case == "meet":
             break
-
-    if least_dead is None:
-        # C(<= N) keeps a full-depth member, and it is the avoid child of O(<= N)
-        ref, case = meet_or_avoid(sys_, PredicateRequest(f"phi[{phi.name}]", o_le(N)))
-        assert case == "avoid"
+    else:
+        # the avoid child of O(<= N): no member has a witness up to N
         return ref, ("empty", None)
 
-    b = least_dead
-    request = PredicateRequest(f"O(<= {b})", o_le(b))
-    ref, case = meet_or_avoid(sys_, request)
-    if case != "meet":
-        raise InconsistentDepth(f"C(<= {b}) died at depth but the avoidance survived")
-    if b == 0:
-        child = ref.child
-        return Refinement(child, sys_, ref.cert, case="least", meta={"b": b}), ("least", b)
-    o_lt = o_le(b - 1)
-    carve = avoidance_class(ref.child.space,
-                            PredicateAvoidance(ref.child.map, o_lt),
-                            name=f"{ref.child.space.name}~O(<{b})")
-    if find_member(carve, N) is None:
-        raise InconsistentDepth(
-            f"carve below least witness {b} emptied at depth; working depth too small")
-    child = DynSystem(carve, ref.child.map)
+    child = ref.child
+    if b > 0:
+        carve = avoidance_class(child.space, PredicateAvoidance(child.map, o_le(b - 1)),
+                                name=f"{child.space.name}~O(<{b})")
+        if find_member(carve, N) is None:
+            raise InconsistentDepth(
+                f"carve below least witness {b} emptied at depth; working depth too small")
+        child = DynSystem(carve, child.map)
     return Refinement(child, sys_, ref.cert, case="least", meta={"b": b}), ("least", b)
 
 
@@ -375,7 +345,6 @@ class NbhResult:
     system: DynSystem
     b: int
     avoided: tuple[str, ...]
-    bounds: dict
 
 
 def nbh_periodicity(sys_: DynSystem, i: int) -> NbhResult:
@@ -399,7 +368,6 @@ def nbh_periodicity(sys_: DynSystem, i: int) -> NbhResult:
             avoided = cand
     space = sys_.space if not avoided else avoidance_class(
         sys_.space, OrbitAvoidance(f, avoided), name=f"{sys_.space.name}·nbh({i})")
-    bounds = {}
     b = 1
     for w in words_i:
         if w in avoided:
@@ -408,9 +376,8 @@ def nbh_periodicity(sys_: DynSystem, i: int) -> NbhResult:
         dl = death_length(cls, N)
         if dl is None:
             raise HorizonExhausted(f"return length for {w!r} exceeds depth {N}")
-        bounds[w] = dl
         b = max(b, dl)
-    return NbhResult(DynSystem(space, f), b, tuple(sorted(avoided)), bounds)
+    return NbhResult(DynSystem(space, f), b, tuple(sorted(avoided)))
 
 
 @dataclass
@@ -457,14 +424,11 @@ def construct_ap_point(sys_: DynSystem, requests: list[OpenRequest], c_max: int 
     log = ApForcingLog()
 
     schedule: list[tuple[str, object]] = []
-    ri, ci = 0, 1
-    while ri < len(requests) or ci <= c_max:
-        if ri < len(requests):
-            schedule.append(("request", requests[ri]))
-            ri += 1
-        if ci <= c_max:
-            schedule.append(("periodicity", ci))
-            ci += 1
+    for t in range(max(len(requests), c_max)):
+        if t < len(requests):
+            schedule.append(("request", requests[t]))
+        if t < c_max:
+            schedule.append(("periodicity", t + 1))
 
     for kind, payload in schedule:
         if kind == "request":

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from cantordyn.maps import builtin_map, random_normalized_map
+from cantordyn.maps import builtin_map
 from cantordyn.systems import DynSystem, forbidden_window_class, full_class
 
 
@@ -24,8 +24,3 @@ def golden12(shift12):
 @pytest.fixture
 def rng():
     return random.Random(20260810)
-
-
-@pytest.fixture
-def random_map8(rng):
-    return random_normalized_map(2, 8, rng)

@@ -197,6 +197,27 @@ class TestCommands:
                                 tmp_path, "ap.json")
         assert code == 1 and not rep["verified"]
 
+    def test_meet_avoid_catches_corrupt_certificate(self, golden_spec, tmp_path, monkeypatch):
+        # the child's map is built from the corrupt certificate, so it agrees
+        # with f^j; only the child's invariance under f^j can fail the report
+        from cantordyn import refinement
+        from cantordyn.systems import DynSystem
+        real = refinement.meet_or_avoid
+
+        def corrupt(sys_, request):
+            r, case = real(sys_, request)
+            c = r.cert
+            bad = refinement.PiecewiseIterate(c.l, c.b + 1, c.base, lambda w: c.j(w) + 1)
+            child = DynSystem(r.child.space, bad.induced())
+            return refinement.Refinement(child, r.parent, bad, r.case, r.meta), case
+
+        monkeypatch.setattr(refinement, "meet_or_avoid", corrupt)
+        reqs = tmp_path / "reqs-a.json"
+        reqs.write_text(json.dumps([{"name": "a", "words": ["0"]}]))
+        code, rep = run_to_json(["meet-avoid", golden_spec, "--requests", str(reqs)],
+                                tmp_path, "ma.json")
+        assert code == 1 and not rep["verified"]
+
     def test_reduce_tree(self, tmp_path):
         p = tmp_path / "t.json"
         p.write_text(json.dumps({"alphabet": 2, "depth": 13,

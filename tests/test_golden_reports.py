@@ -43,12 +43,16 @@ INPUTS = {
                                 "j": [["0", 1], ["1", 2]], "base": {"kind": "shift"}}),
     "p0.json": _spec(24, _nodes(["0" * 24])),
     "tree.json": _spec(13, _nodes(["0" * 13, "01", "1"])),
+    "orbit-01.json": _spec(16, _nodes([_periodic("01", 16), _periodic("10", 16)])),
+    "identity-carve.json": _spec(16, _nodes(["001" + "1" * 13, "01" + "0" * 14]),
+                                 {"kind": "identity"}),
     "dodge-orbit-40.json": _spec(40, _nodes(["0" * 40])),
     "dodge-full-40.json": _spec(40, {"kind": "full"}),
     "dodge-chain-40.json": _spec(40, _nodes(
         [XSTAR, "0" * 40, "1" * 40, "10" + "1" * 38]
         + [_periodic(g, 40) for g in ("01", "001", "011", "0001", "0011", "0111")])),
     "reqs.json": [{"name": "u0", "words": ["1"]}, {"name": "u1", "words": ["0", "1"]}],
+    "reqs-a.json": [{"name": "a", "words": ["0"]}],
     "reqs-c9.json": [{"name": "u0", "words": ["0"]}, {"name": "u1", "words": ["01"]},
                      {"name": "u2", "words": ["10"]}, {"name": "u3", "words": ["00"]},
                      {"name": "u4", "stages": [[0, "000"], [4, "010"]]}],
@@ -83,6 +87,9 @@ JOBS = {
     "recurrent-untraced": ["recurrent", "golden.json", "--stages", "3"],
     "minimal-untraced": ["minimal", "golden.json"],
     "reduce-tree-untraced": ["reduce-tree", "tree.json", "--scan-depth", "5"],
+    "force-least-meet": ["force-least", "orbit-01.json", "--phi", "one-at"],
+    "force-least-carve": ["force-least", "identity-carve.json", "--phi", "one-at"],
+    "meet-avoid-landing": ["meet-avoid", "golden.json", "--requests", "reqs-a.json"],
 }
 
 _TIMING = re.compile(r'^  "timing_ms": \d+,\n', re.MULTILINE)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from cantordyn import recurrence
 from cantordyn.errors import HorizonExhausted
-from cantordyn.maps import builtin_map, random_normalized_map
+from cantordyn.maps import CodedMap, builtin_map, random_normalized_map
 from cantordyn.recurrence import (_StageState, _store_stage, audit_cover_stages,
                                   build_ternary_gadget, construct_recurrent_point,
                                   gadget_recurrent_equals_paths,
@@ -137,15 +137,28 @@ class TestConstructRecurrentPoint:
 
 
     def test_deep_non_suffix_store_runs_out_of_budget(self, monkeypatch):
-        # the store walk of a non-suffix map goes to the working depth; an
+        # with no moduli past 0 the store walk goes to the working depth; an
         # explicit stack lets it reach its budget instead of the recursion limit
+        N = 1200
+        pw = PiecewiseIterate(1, 2, builtin_map("left-shift", 2, N),
+                              {"0": 1, "1": 2}.__getitem__).induced()
+        f = CodedMap(2, N, pw.apply, {0: 0}, shrinking=True)
+        sys_ = DynSystem(forbidden_window_class(2, N, ["11"]), f)
+        monkeypatch.setattr(recurrence, "_STORE_NODE_BUDGET", 5000)
+        with pytest.raises(HorizonExhausted, match="store enumeration budget"):
+            construct_recurrent_point(sys_, stages=2)
+
+    def test_deep_non_suffix_store_stops_at_modulus(self, monkeypatch):
+        # the store cap comes from the map's modulus, not the working depth,
+        # so a small node budget is enough at depth 1200
         N = 1200
         f = PiecewiseIterate(1, 2, builtin_map("left-shift", 2, N),
                              {"0": 1, "1": 2}.__getitem__).induced()
         sys_ = DynSystem(forbidden_window_class(2, N, ["11"]), f)
         monkeypatch.setattr(recurrence, "_STORE_NODE_BUDGET", 5000)
-        with pytest.raises(HorizonExhausted, match="store enumeration budget"):
-            construct_recurrent_point(sys_, stages=2)
+        X, cert, stages = construct_recurrent_point(sys_, stages=2)
+        assert verify_recurrence(X, cert)
+        assert audit_cover_stages(sys_, stages).ok
 
 
 STORE_DEPTH = 7

@@ -9,11 +9,9 @@ from cantordyn.errors import HorizonExhausted
 from cantordyn.maps import CodedMap, builtin_map
 from cantordyn.minimal import s_orbit
 from cantordyn.refinement import (OpenRequest, Phi1Predicate, PiecewiseIterate,
-                                  Refinement, check_piecewise_samples,
-                                  check_refinement_cert, compose,
-                                  construct_ap_point, least_element_forcing,
-                                  meet_or_avoid, nbh_periodicity,
-                                  return_bound_check, trivial_cert)
+                                  check_piecewise_samples, check_refinement_cert,
+                                  compose, construct_ap_point, least_element_forcing,
+                                  meet_or_avoid, nbh_periodicity)
 from cantordyn.search import iter_members
 from cantordyn.systems import (DynSystem, explicit_class, forbidden_window_class,
                                full_class, orbit_class, validate_system,
@@ -196,27 +194,6 @@ class TestMeetOrAvoid:
         for words in (["1"], ["0", "1"], ["01"]):
             r, _ = meet_or_avoid(full_sys(), OpenRequest.static("u", words))
             assert validate_system(r.child, max_len=8).ok
-
-
-class TestReturnBound:
-    def test_child_equals_parent(self):
-        sys_ = full_sys()
-        r = Refinement(sys_, sys_, trivial_cert(sys_.map))
-        assert return_bound_check(r, sys_.point("011010110100"))
-
-    def test_fixed_point(self):
-        sys_ = full_sys()
-        child = DynSystem(explicit_class(2, N, ["0" * N]), sys_.map)
-        r = Refinement(child, sys_, trivial_cert(sys_.map))
-        assert return_bound_check(r, sys_.point("0" * N))
-
-    def test_golden_child_random_members(self):
-        sys_ = full_sys()
-        r, _ = meet_or_avoid(sys_, OpenRequest.static("u", ["11"]))
-        rng = random.Random(3)
-        members = iter_members(r.child.space, N)
-        for w in rng.sample(members, 10):
-            assert return_bound_check(r, sys_.point(w))
 
 
 class TestLeastElementForcing:

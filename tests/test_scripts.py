@@ -1,0 +1,24 @@
+"""The example scripts run end to end from the repository root.
+
+No other test imports them, so a change to the library's public names could
+break them unnoticed.
+"""
+
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("argv", [
+    ["scripts/gadget_scan.py", "--trees", "2"],
+    ["scripts/halting_roundtrip.py", "--bits", "3"],
+    ["scripts/ap_forcing_walkthrough.py"],
+], ids=lambda argv: Path(argv[0]).stem)
+def test_script_exits_zero(argv):
+    done = subprocess.run([sys.executable, *argv], cwd=ROOT, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr

@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cantordyn.errors import DepthExceeded, ModulusExhausted
-from cantordyn.maps import (CodedMap, builtin_map, iterate_map, normalize,
-                            random_normalized_map)
+from cantordyn.maps import CodedMap, builtin_map, normalize, random_normalized_map
+from cantordyn.refinement import PiecewiseIterate
 from cantordyn.words import (all_words, is_prefix, is_primitive, letters,
                              periodic_word, rotations, words_up_to)
 
@@ -95,28 +95,28 @@ class TestNormalize:
         assert is_prefix(mh.apply(w), m.apply(w))
 
 
-class TestIterateMap:
-    def test_power_one_equals_base(self, random_map8):
-        m1 = iterate_map(random_map8, 1)
-        for w in words_up_to(2, 8):
-            assert m1.apply(w) == random_map8.apply(w)
+def power(m, n):
+    """``f^n`` packaged as a constant-exponent certificate's induced map."""
+    return PiecewiseIterate(0, n, m, lambda w: n).induced()
 
+
+class TestIterateMap:
     def test_shift_cubed_drops_three(self):
         sh = builtin_map("left-shift", 2, 8)
-        m3 = iterate_map(sh, 3)
+        m3 = power(sh, 3)
         for w in all_words(2, 8):
             assert m3.apply(w) == w[3:]
         assert m3.check() == []
 
     def test_identity_squared_drops_two(self):
         idm = builtin_map("identity", 2, 8)
-        m2 = iterate_map(idm, 2)
+        m2 = power(idm, 2)
         for w in all_words(2, 6):
             assert m2.apply(w) == w[:-2]
 
     def test_modulus_composition(self):
         sh = builtin_map("left-shift", 2, 8)
-        m3 = iterate_map(sh, 3)
+        m3 = power(sh, 3)
         assert m3.modulus(2) == 5
         with pytest.raises(ModulusExhausted):
             m3.modulus(7)
@@ -134,10 +134,6 @@ class TestIterateMap:
                 m.modulus(l)
         else:
             assert m.modulus(l) == best
-
-    def test_zero_power(self, random_map8):
-        m0 = iterate_map(random_map8, 0)
-        assert m0.apply("0101") == "0101"
 
 
 class TestIterateLaws:
