@@ -16,7 +16,7 @@ from .systems import (APCert, APRow, ClosedClass, DynSystem, PointApprox,
                       forbidden_window_class, full_class, orbit_class,
                       rec_cert_from_ap, restrict_class, stagewise_class,
                       validate_system, verify_ap, verify_recurrence)
-from .recurrence import (CoverStage, TernaryGadget, audit_cover_stages,
+from .recurrence import (CoverStage, audit_cover_stages,
                          build_ternary_gadget, construct_recurrent_point,
                          gadget_recurrent_equals_paths, gadget_recurrent_set)
 from .minimal import (HaltingSim, PeriodicOrbitClass, RemovalChain,

@@ -167,12 +167,12 @@ def build_dodging_class(P: ClosedClass, *, max_period: int = 4,
                         hat_class=hat, sigma=sigma)
 
 
-def verify_not_ap(hat: ClosedClass, b_max: int, *, member_limit: int | None = None) -> bool:
+def verify_not_ap(hat: ClosedClass, b_max: int) -> bool:
     """Exhaustive gap scan: every full-depth member admits, for every
     ``b ≤ b_max``, a start after which ``b`` consecutive shifts all leave the
     member's own first-letter cylinder."""
     N = hat.depth
-    members = iter_members(hat, N, limit=member_limit)
+    members = iter_members(hat, N)
     if not members:
         return False
     for w in members:

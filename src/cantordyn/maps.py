@@ -33,13 +33,13 @@ class CodedMap:
     """
 
     __slots__ = ("k", "depth", "name", "moduli", "shrinking", "suffix_step",
-                 "drop", "columns", "_rule", "_memo", "_mod_keys", "_mod_min")
+                 "drop", "_rule", "_memo", "_mod_keys", "_mod_min")
 
     def __init__(self, k: int, depth: int, rule: Callable[[str], str],
                  moduli: Mapping[int, int], *, shrinking: bool = False,
                  suffix_step: int | None = None,
                  drop: tuple[int, Callable[[str], int]] | None = None,
-                 columns: int | None = None, name: str = "map"):
+                 name: str = "map"):
         self.k = k
         self.depth = depth
         self.name = name
@@ -47,7 +47,6 @@ class CodedMap:
         self.shrinking = shrinking
         self.suffix_step = suffix_step
         self.drop = drop
-        self.columns = columns
         self._rule = rule
         self._memo: dict[str, str] = {}
         # _mod_min[i] = least witness recorded for any length ≥ _mod_keys[i]
@@ -77,10 +76,8 @@ class CodedMap:
             cur = self.apply(cur)
         return cur
 
-    def orbit(self, word: str, steps: int | None = None) -> list[str]:
-        """``[f^0(word), …, f^steps(word)]``; default runs until empty."""
-        if steps is None:
-            steps = len(word)
+    def orbit(self, word: str, steps: int) -> list[str]:
+        """``[f^0(word), …, f^steps(word)]``."""
         out = [word]
         cur = word
         for _ in range(steps):
@@ -194,8 +191,7 @@ def builtin_map(kind: str, k: int, depth: int, *, columns: int | None = None) ->
         c = columns
         return CodedMap(k, depth, lambda w: w[c:],
                         {l: l + c for l in range(depth) if l + c <= depth} | {0: 0},
-                        shrinking=True, suffix_step=c, columns=c,
-                        name=f"column-shift({c})")
+                        shrinking=True, suffix_step=c, name=f"column-shift({c})")
     raise ValueError(f"unsupported builtin map kind {kind!r}")
 
 

@@ -23,6 +23,8 @@ from .search import (OrbitAvoidance, avoidance_class, death_length,
 from .systems import ClosedClass, DynSystem, orbit_class
 from .words import is_prefix, periodic_word, rotations, words_up_to
 
+_DECODE_MEMBER_LIMIT = 4096   # decode_bit: a wider class is not minimal at depth
+
 
 @dataclass(frozen=True)
 class RemovalStage:
@@ -164,12 +166,13 @@ def product_system(parts: list[ClosedClass]) -> DynSystem:
     """Interleaved-column product: position ``p`` belongs to column
     ``p mod columns``, and the map shifts every column at once.
 
-    ``member`` and the incremental ``step`` look each column word up in a
-    per-column memo; a miss asks the column's own ``member`` (depth check
-    included) once.  A search re-tests the same few column words at many
-    nodes, and a column holds at most ``k^(depth+1)`` words, so the memo
-    stays small; it lives in this product's closures and is freed with it.
-    Staged membership (``member_at``) is not memoized.
+    The child test asks only the column the new letter lands in (every
+    column at the root), through a per-column memo whose misses ask that
+    column's own child test once: a column word's proper prefixes are column
+    words of the node's ancestors, so they are members.  A search re-tests the
+    same few column words at many nodes, and a column holds at most
+    ``k^(depth+1)`` words, so the memo stays small; it lives in this product's
+    closure and is freed with it.  Staged membership is not memoized.
     """
     if not parts:
         raise ValueError("empty product")
@@ -184,13 +187,12 @@ def product_system(parts: list[ClosedClass]) -> DynSystem:
     def column(n: int, c: str) -> bool:
         known = memo[n].get(c)
         if known is None:
-            known = memo[n][c] = parts[n].member(c)
+            known = memo[n][c] = parts[n].member_step(c)
         return known
 
-    def member(w: str) -> bool:
-        return all(column(n, w[n::cols]) for n in range(cols))
-
     def step(w: str) -> bool:
+        if not w:
+            return all(column(n, w) for n in range(cols))
         n = (len(w) - 1) % cols
         return column(n, w[n::cols])
 
@@ -198,27 +200,28 @@ def product_system(parts: list[ClosedClass]) -> DynSystem:
         return all(parts[n].member(w[n::cols], stage=s) for n in range(cols))
 
     horizon = max(p.stage_horizon for p in parts)
-    space = ClosedClass(parts[0].k, depth, member, member_at=member_at, step=step,
+    space = ClosedClass(parts[0].k, depth, step, member_at=member_at,
                         stage_horizon=horizon, name=f"product({cols})")
     return DynSystem(space, builtin_map("column-shift", parts[0].k, depth, columns=cols))
 
 
-def decode_bit(minimal_sys: DynSystem, n: int, member_limit: int = 4096) -> bool:
+def decode_bit(minimal_sys: DynSystem, n: int) -> bool:
     """True iff some member's column ``n`` extends ``01``.
 
     Full-depth members of a minimal class carry a single orbit phase, so the
     scan walks each member's iterates (which are members themselves): the
     column word must show ``0`` then ``1`` at some consecutive rows.  Requires
-    a column-shift system and at least two rows of the column at depth.
+    a column-shift system (its suffix step is the column count) and at least
+    two rows of the column at depth.
     """
-    cols = minimal_sys.map.columns
-    if cols is None:
+    cols = minimal_sys.map.suffix_step
+    if not cols:
         raise ValueError("decode_bit needs a column-shift system")
     if not 0 <= n < cols:
         raise ValueError(f"column {n} out of range")
     if n + cols + 1 > minimal_sys.depth:
         raise UndecidedAtDepth(f"column {n} has fewer than 2 letters at depth {minimal_sys.depth}")
-    members = iter_members(minimal_sys.space, minimal_sys.depth, limit=member_limit)
-    if len(members) == member_limit:
+    members = iter_members(minimal_sys.space, minimal_sys.depth, limit=_DECODE_MEMBER_LIMIT)
+    if len(members) == _DECODE_MEMBER_LIMIT:
         raise UndecidedAtDepth("class too wide to scan; not minimal at depth?")
     return any("01" in w[n::cols] for w in members)

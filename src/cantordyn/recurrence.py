@@ -29,19 +29,11 @@ from .systems import (ClosedClass, DynSystem, PointApprox, RecCert, Report, cyli
                       full_class)
 from .words import all_words
 
-_STAGE_ENUM_CAP = 18          # covering checks enumerate 2^s members
+_STAGE_ENUM_CAP = 18          # a covering scan lists at most 2^18 members, of length ≤ 18
 _STORE_NODE_BUDGET = 2_000_000
 
 
-@dataclass(frozen=True)
-class TernaryGadget:
-    """A binary tree viewed inside alphabet 3, with its searching map."""
-
-    source_tree: ClosedClass
-    system: DynSystem
-
-
-def build_ternary_gadget(tree: ClosedClass) -> TernaryGadget:
+def build_ternary_gadget(tree: ClosedClass) -> DynSystem:
     """The system ``(3^{≤N}, f)`` whose recurrent points are the tree's paths.
 
     For a word that is on the tree the map drops the last letter; otherwise
@@ -60,7 +52,9 @@ def build_ternary_gadget(tree: ClosedClass) -> TernaryGadget:
         res = pi_memo[w[:n]]
         for m in range(n + 1, len(w) + 1):
             u = w[:m]
-            if res is None and (u[-1] == "2" or not tree.member(u)):
+            # past the first letter every proper prefix is on the tree
+            if res is None and (u[-1] == "2" or not (
+                    tree.member_step(u) if m > 1 else tree.member(u))):
                 res = u
             pi_memo[u] = res
         return res
@@ -86,7 +80,7 @@ def build_ternary_gadget(tree: ClosedClass) -> TernaryGadget:
     malformed = tree.check(min(depth, 10))
     if malformed:
         raise ValueError(f"malformed tree: {malformed[0]}")
-    return TernaryGadget(tree, DynSystem(full_class(3, depth), gadget_map))
+    return DynSystem(full_class(3, depth), gadget_map)
 
 
 def _padded_certifies(f: CodedMap, word: str, depth: int, c_max: int) -> bool:
@@ -105,8 +99,7 @@ def gadget_recurrent_set(tree: ClosedClass, scan_depth: int) -> set[str]:
     recurrence certificate in the gadget system (brute force)."""
     if tree.depth < 2 * scan_depth + 1:
         raise ValueError("tree depth must be at least 2*scan_depth + 1 for the oracle")
-    gadget = build_ternary_gadget(tree)
-    f = gadget.system.map
+    f = build_ternary_gadget(tree).map
     return {w for w in all_words(3, scan_depth)
             if _padded_certifies(f, w, tree.depth, scan_depth)}
 
@@ -217,9 +210,8 @@ def _store_stage(state: _StageState, s: int, k: int) -> set[str]:
     prev_max = max((len(w) for w in state.prev_store), default=0)
     cap = min(max(need, prev_max + 1, 1), state.depth)
     stored: set[str] = set()
-    walk = ClosedClass(k, state.depth,
-                       lambda w: not any(w[:t] in stored for t in range(len(w))),
-                       step=lambda w: w[:-1] not in stored, name=f"store({state.i})")
+    walk = ClosedClass(k, state.depth, lambda w: w[:-1] not in stored,
+                       name=f"store({state.i})")
     budget = _STORE_NODE_BUDGET
     for w in live_nodes(walk, cap):
         budget -= 1
@@ -257,7 +249,10 @@ def construct_recurrent_point(sys_: DynSystem, stages: int = 6,
             if s > _STAGE_ENUM_CAP:
                 raise HorizonExhausted(f"stage {i}: covering scan beyond 2^{s}",
                                        partial=stage_records)
-            V = tuple(iter_members(sys_.space, s))
+            V = tuple(iter_members(sys_.space, s, limit=2 ** _STAGE_ENUM_CAP + 1))
+            if len(V) > 2 ** _STAGE_ENUM_CAP:
+                raise HorizonExhausted(f"stage {i}: more than 2^{_STAGE_ENUM_CAP} members "
+                                       f"of length {s}", partial=stage_records)
             if all(_covered(state, v, s) for v in V):
                 s_found = s
                 break

@@ -95,9 +95,9 @@ class PiecewiseIterate:
                                      name=f"pw(l={l},b={self.b})∘{base.name}")
         return self._induced
 
-    def j_table(self, limit: int = 4096) -> dict[str, int] | None:
+    def j_table(self) -> dict[str, int] | None:
         """Materialize the exponent table when small enough to serialize."""
-        if self.base.k ** self.l > limit:
+        if self.base.k ** self.l > 4096:
             return None
         return {w: self.j(w) for w in all_words(self.base.k, self.l)}
 
@@ -145,7 +145,6 @@ def compose(outer: PiecewiseIterate, inner: PiecewiseIterate) -> PiecewiseIterat
 @dataclass(frozen=True)
 class Refinement:
     child: DynSystem
-    parent: DynSystem
     cert: PiecewiseIterate
     case: str = ""
     meta: dict = field(default_factory=dict)
@@ -217,7 +216,7 @@ class PredicateRequest:
         return [w for w in words_up_to(k, s) if self.pred(w)]
 
     def make_avoidance(self, f: CodedMap) -> PredicateAvoidance:
-        return PredicateAvoidance(f, self.pred, label=f"avoid({self.name})")
+        return PredicateAvoidance(f, self.pred)
 
 
 class RequestAvoidance(OrbitAvoidance):
@@ -234,7 +233,7 @@ class RequestAvoidance(OrbitAvoidance):
         stage: dict[str, int] = {}
         for st, w in request.entries:
             stage[w] = min(st, stage.get(w, st))
-        super().__init__(map_, stage, label=f"avoid({request.name})")
+        super().__init__(map_, stage)
 
 
 def meet_or_avoid(sys_: DynSystem, request) -> tuple[Refinement, str]:
@@ -255,7 +254,7 @@ def meet_or_avoid(sys_: DynSystem, request) -> tuple[Refinement, str]:
     d0 = avoidance_class(space, avoid, name=f"{space.name}~{request.name}")
     if find_member(d0, N) is not None:
         child = DynSystem(d0, f)
-        return Refinement(child, sys_, trivial_cert(f), case="avoid",
+        return Refinement(child, trivial_cert(f), case="avoid",
                           meta={"request": request.name}), "avoid"
 
     s = death_length(d0, N)
@@ -283,7 +282,7 @@ def meet_or_avoid(sys_: DynSystem, request) -> tuple[Refinement, str]:
 
     cert = PiecewiseIterate(l, s + 1, f, jfunc)
     child = DynSystem(d1, cert.induced())
-    return Refinement(child, sys_, cert, case="meet",
+    return Refinement(child, cert, case="meet",
                       meta={"request": request.name, "s": s, "reach_back": s + 1}), "meet"
 
 
@@ -337,7 +336,7 @@ def least_element_forcing(sys_: DynSystem, phi: Phi1Predicate
             raise InconsistentDepth(
                 f"carve below least witness {b} emptied at depth; working depth too small")
         child = DynSystem(carve, child.map)
-    return Refinement(child, sys_, ref.cert, case="least", meta={"b": b}), ("least", b)
+    return Refinement(child, ref.cert, case="least", meta={"b": b}), ("least", b)
 
 
 @dataclass(frozen=True)

@@ -113,15 +113,13 @@ class OrbitAvoidance:
     than the last stage get the full check.
     """
 
-    __slots__ = ("map", "stage", "lens", "label", "_last_stage", "_suffix", "_chain")
+    __slots__ = ("map", "stage", "lens", "_last_stage", "_suffix", "_chain")
 
-    def __init__(self, map_: CodedMap, forbidden: Iterable[str] | Mapping[str, int],
-                 label: str = ""):
+    def __init__(self, map_: CodedMap, forbidden: Iterable[str] | Mapping[str, int]):
         self.map = map_
         self.stage = (dict(forbidden) if isinstance(forbidden, Mapping)
                       else dict.fromkeys(forbidden, 0))
         self.lens = sorted({len(w) for w in self.stage})
-        self.label = label or f"avoid({','.join(sorted(self.stage))})"
         self._last_stage = max(self.stage.values(), default=0)
         self._suffix = map_.suffix_step if map_.suffix_step else None
         self._chain = DropChain(map_.drop) if map_.drop else None
@@ -163,12 +161,11 @@ class PredicateAvoidance:
     of ``f^n(σ)`` satisfies it.  Used by the Δ₁-forcing constructions, where
     the forbidden set is given by a formula instead of a list."""
 
-    __slots__ = ("map", "pred", "label", "_word_hit")
+    __slots__ = ("map", "pred", "_word_hit")
 
-    def __init__(self, map_: CodedMap, pred, label: str = "avoid-pred"):
+    def __init__(self, map_: CodedMap, pred):
         self.map = map_
         self.pred = pred
-        self.label = label
         self._word_hit: dict[str, bool] = {}
 
     def _hit(self, word: str) -> bool:
@@ -249,5 +246,5 @@ def death_length(space: ClosedClass, cap: int) -> int | None:
 
 def avoidance_class(base: ClosedClass, avoid, name: str) -> ClosedClass:
     """``base`` restricted by one orbit-avoidance condition, as a ClosedClass
-    whose search step is the condition's incremental check."""
-    return restrict_class(base, avoid.ok, name, step=avoid.ok_extension)
+    whose child test is the condition's incremental check."""
+    return restrict_class(base, avoid.ok_extension, name)

@@ -1,9 +1,9 @@
 """Closed classes, dynamical systems, and the two witness-certificate formats.
 
-A :class:`ClosedClass` is a depth-truncated downward-closed set of words given
-by a decidable membership predicate, optionally with a stagewise removal
-schedule (effectively-closed semantics: membership can only shrink as the
-stage grows).  A :class:`DynSystem` pairs a class with a normalized
+A :class:`ClosedClass` is a depth-truncated tree of words given by its child
+test, optionally with a stagewise removal schedule (effectively-closed
+semantics: membership can only shrink as the stage grows).  A
+:class:`DynSystem` pairs a class with a normalized
 :class:`~cantordyn.maps.CodedMap` mapping class nodes into the class.
 
 Certificates store explicit witnesses so an independent verifier can re-check
@@ -21,26 +21,24 @@ from .words import all_words, is_prefix, periodic_word, rotations
 
 
 class ClosedClass:
-    """A depth-truncated tree of words.
+    """A depth-truncated tree of words, given by its child test.
 
-    ``member`` decides final membership (at the stage horizon); ``member_at``
-    decides membership at an earlier stage when a schedule is present.
-    ``step`` is an optional incremental form of ``member``: it may assume that
-    every proper prefix of its argument is already a member, which is what the
-    depth-first searches guarantee along their paths.
+    ``step(w)`` decides whether ``w`` survives given that its parent
+    ``w[:-1]`` does; ``member`` runs it along every prefix, so the class is
+    downward closed by construction, and the searches run it once per node.
+    ``member_at`` decides membership at an earlier stage when a schedule is
+    present.
     """
 
-    __slots__ = ("k", "depth", "name", "stage_horizon", "_member", "_member_at", "_step")
+    __slots__ = ("k", "depth", "name", "stage_horizon", "_member_at", "_step")
 
-    def __init__(self, k: int, depth: int, member: Callable[[str], bool], *,
+    def __init__(self, k: int, depth: int, step: Callable[[str], bool], *,
                  member_at: Callable[[str, int], bool] | None = None,
-                 step: Callable[[str], bool] | None = None,
                  stage_horizon: int = 0, name: str = "class"):
         self.k = k
         self.depth = depth
         self.name = name
         self.stage_horizon = stage_horizon
-        self._member = member
         self._member_at = member_at
         self._step = step
 
@@ -52,22 +50,17 @@ class ClosedClass:
             raise DepthExceeded(f"|word| > depth {self.depth} of {self.name}")
         if stage is not None and self._member_at is not None:
             return self._member_at(word, stage)
-        return self._member(word)
+        step = self._step
+        return all(step(word[:i]) for i in range(len(word) + 1))
 
     def member_step(self, word: str) -> bool:
         """Membership assuming all proper prefixes are members."""
-        if self._step is not None:
-            return self._step(word)
-        return self._member(word)
+        return self._step(word)
 
     def check(self, max_len: int | None = None) -> list[str]:
-        """Downward closure and schedule monotonicity, exhaustively to a cap."""
+        """Schedule monotonicity, exhaustively to a cap."""
         cap = self.depth if max_len is None else min(max_len, self.depth)
         bad: list[str] = []
-        for n in range(1, cap + 1):
-            for w in all_words(self.k, n):
-                if self._member(w) and not self._member(w[:-1]):
-                    bad.append(f"downward closure violated at {w!r}")
         if self._member_at is not None:
             for n in range(cap + 1):
                 for w in all_words(self.k, n):
@@ -82,7 +75,7 @@ class ClosedClass:
 
 
 def full_class(k: int, depth: int) -> ClosedClass:
-    return ClosedClass(k, depth, lambda w: True, step=lambda w: True, name=f"full({k})")
+    return ClosedClass(k, depth, lambda w: True, name=f"full({k})")
 
 
 def forbidden_window_class(k: int, depth: int, words: Iterable[str]) -> ClosedClass:
@@ -93,35 +86,29 @@ def forbidden_window_class(k: int, depth: int, words: Iterable[str]) -> ClosedCl
     lens = sorted({len(w) for w in forb})
     by_len = {t: {w for w in forb if len(w) == t} for t in lens}
 
-    def member(w: str) -> bool:
-        return not any(w[i:i + t] in by_len[t] for t in lens for i in range(len(w) - t + 1))
-
     def step(w: str) -> bool:
         # only windows ending at the new letter can newly fail
         return not any(len(w) >= t and w[-t:] in by_len[t] for t in lens)
 
-    return ClosedClass(k, depth, member, step=step, name=f"sft(~{','.join(forb)})")
+    return ClosedClass(k, depth, step, name=f"sft(~{','.join(forb)})")
 
 
 def explicit_class(k: int, depth: int, nodes: Iterable[str]) -> ClosedClass:
     """Prefix closure of an explicit node list."""
-    listed = sorted(set(nodes))
-
-    def member(w: str) -> bool:
-        return any(is_prefix(w, v) for v in listed)
-
-    return ClosedClass(k, depth, member, name="explicit")
+    prefixes = {v[:i] for v in nodes for i in range(len(v) + 1)}
+    return ClosedClass(k, depth, prefixes.__contains__, name="explicit")
 
 
 def stagewise_class(k: int, depth: int, removals: Iterable[tuple[int, str]],
                     stage_horizon: int) -> ClosedClass:
     """Full tree minus nodes removed (with all extensions) at given stages."""
     sched = sorted((int(s), w) for s, w in removals)
+    removed = {w for s, w in sched if s <= stage_horizon}
 
     def member_at(w: str, s: int) -> bool:
         return not any(st <= s and is_prefix(node, w) for st, node in sched)
 
-    return ClosedClass(k, depth, lambda w: member_at(w, stage_horizon),
+    return ClosedClass(k, depth, lambda w: w not in removed,
                        member_at=member_at, stage_horizon=stage_horizon,
                        name="stagewise")
 
@@ -134,24 +121,10 @@ def orbit_class(generator: str, k: int, depth: int) -> ClosedClass:
     return cls
 
 
-def restrict_class(base: ClosedClass, pred: Callable[[str], bool],
-                   name: str, *, step: Callable[[str], bool] | None = None) -> ClosedClass:
-    """``base`` intersected with a downward-closed predicate.
-
-    ``step`` may be a cheaper form of ``pred`` valid along search paths
-    (all proper prefixes already checked).
-    """
-
-    base_step = base._member if base._step is None else base._step
-    check = pred if step is None else step
-
-    def member(w: str) -> bool:
-        return base.member(w) and pred(w)
-
-    def member_step(w: str) -> bool:
-        return base_step(w) and check(w)
-
-    return ClosedClass(base.k, base.depth, member, step=member_step, name=name)
+def restrict_class(base: ClosedClass, step: Callable[[str], bool], name: str) -> ClosedClass:
+    """``base`` intersected with the class whose child test is ``step``."""
+    base_step = base._step
+    return ClosedClass(base.k, base.depth, lambda w: base_step(w) and step(w), name=name)
 
 
 def cylinder_class(base: ClosedClass, words: Iterable[str], name: str) -> ClosedClass:
@@ -197,8 +170,7 @@ class PointApprox:
             raise ValueError("point prefix must have full depth")
 
     def check_membership(self) -> bool:
-        sp = self.system.space
-        return all(sp.member(self.prefix[:i]) for i in range(len(self.prefix) + 1))
+        return self.system.space.member(self.prefix)
 
 
 @dataclass(frozen=True)
@@ -262,10 +234,10 @@ def validate_system(sys_: DynSystem, max_len: int | None = None) -> Report:
     """Check the four system conditions at depth, exhaustively up to a cap.
 
     The cap defaults to ``min(depth, 12)``; beyond it the class is too wide to
-    scan and rule-level construction is trusted.  Nonemptiness at full depth
-    is always checked by search.
+    scan and rule-level construction is trusted.  Forward invariance is tested
+    on members only, and nonemptiness at full depth always by search.
     """
-    from .search import find_member
+    from .search import find_member, live_nodes
 
     cap = min(sys_.depth, 12) if max_len is None else min(max_len, sys_.depth)
     rep = Report()
@@ -277,12 +249,10 @@ def validate_system(sys_: DynSystem, max_len: int | None = None) -> Report:
         rep.add("nonempty", "", "root not a member")
     elif find_member(sys_.space, sys_.depth) is None:
         rep.add("nonempty", "", f"no member of length {sys_.depth}")
-    for n in range(cap + 1):
-        for w in all_words(sys_.k, n):
-            if sys_.space.member(w):
-                fw = sys_.map.apply(w)
-                if not sys_.space.member(fw):
-                    rep.add("forward-invariance", w, f"f({w!r}) = {fw!r} leaves the class")
+    for w in sorted(live_nodes(sys_.space, cap), key=len):
+        fw = sys_.map.apply(w)
+        if not sys_.space.member(fw):
+            rep.add("forward-invariance", w, f"f({w!r}) = {fw!r} leaves the class")
     return rep
 
 

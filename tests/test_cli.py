@@ -209,7 +209,7 @@ class TestCommands:
             c = r.cert
             bad = refinement.PiecewiseIterate(c.l, c.b + 1, c.base, lambda w: c.j(w) + 1)
             child = DynSystem(r.child.space, bad.induced())
-            return refinement.Refinement(child, r.parent, bad, r.case, r.meta), case
+            return refinement.Refinement(child, bad, r.case, r.meta), case
 
         monkeypatch.setattr(refinement, "meet_or_avoid", corrupt)
         reqs = tmp_path / "reqs-a.json"

@@ -10,6 +10,7 @@ files, only when a change of output is intended, with::
 
 import json
 import re
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -33,6 +34,9 @@ def _periodic(gen, n):
 
 
 GOLDEN_MEAN = {"kind": "forbidden_words", "words": ["11"]}
+# the golden mean as a removal schedule: each first occurrence of 11 goes at stage 2
+STAGEWISE_REMOVALS = [[2, "".join(u) + "11"] for n in range(7)
+                      for u in product("01", repeat=n) if "11" not in "".join(u)]
 XSTAR = ("0" + "1" + "0" + "11" + "0" + "111" + "0" + "1111").ljust(40, "0")
 
 INPUTS = {
@@ -51,6 +55,9 @@ INPUTS = {
     "dodge-chain-40.json": _spec(40, _nodes(
         [XSTAR, "0" * 40, "1" * 40, "10" + "1" * 38]
         + [_periodic(g, 40) for g in ("01", "001", "011", "0001", "0011", "0111")])),
+    "stagewise.json": {"alphabet": 2, "depth": 8, "stage_horizon": 4,
+                       "tree": {"kind": "stagewise", "removals": STAGEWISE_REMOVALS},
+                       "map": {"kind": "shift"}},
     "reqs.json": [{"name": "u0", "words": ["1"]}, {"name": "u1", "words": ["0", "1"]}],
     "reqs-a.json": [{"name": "a", "words": ["0"]}],
     "reqs-c9.json": [{"name": "u0", "words": ["0"]}, {"name": "u1", "words": ["01"]},
@@ -90,6 +97,9 @@ JOBS = {
     "force-least-meet": ["force-least", "orbit-01.json", "--phi", "one-at"],
     "force-least-carve": ["force-least", "identity-carve.json", "--phi", "one-at"],
     "meet-avoid-landing": ["meet-avoid", "golden.json", "--requests", "reqs-a.json"],
+    "recurrent-stagewise": ["recurrent", "stagewise.json", "--stages", "3", "--trace"],
+    "minimal-stagewise": ["minimal", "stagewise.json", "--trace"],
+    "minimal-orbit": ["minimal", "orbit-01.json", "--trace"],
 }
 
 _TIMING = re.compile(r'^  "timing_ms": \d+,\n', re.MULTILINE)

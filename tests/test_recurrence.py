@@ -40,27 +40,27 @@ def cylinder_tree(kept6, depth=DEPTH, k=2):
 class TestGadgetMap:
     def test_case_values_all_zero_tree(self):
         g = build_ternary_gadget(zeros_tree())
-        f = g.system.map
+        f = g.map
         assert f.apply("20") == "0"
         assert f.apply("010") == "02"
         assert f.apply("000001") == "00000"
 
     def test_on_tree_drops_last(self):
         g = build_ternary_gadget(full_class(2, DEPTH))
-        f = g.system.map
+        f = g.map
         for w in all_words(2, 5):
             assert f.apply(w) == w[:-1]
 
     def test_is_valid_system(self):
         g = build_ternary_gadget(zeros_tree())
-        assert validate_system(g.system, max_len=7).ok
+        assert validate_system(g, max_len=7).ok
 
     def test_random_gadgets_are_systems(self):
         rng = random.Random(7)
         for _ in range(5):
             kept = rng.sample(sorted(all_words(2, 6)), rng.randint(1, 40))
             g = build_ternary_gadget(cylinder_tree(kept))
-            assert validate_system(g.system, max_len=6).ok
+            assert validate_system(g, max_len=6).ok
 
 
 class TestGadgetOracle:
@@ -135,6 +135,20 @@ class TestConstructRecurrentPoint:
             construct_recurrent_point(sys_, stages=6)
         assert "stage" in str(ei.value)
 
+    def test_covering_scan_stops_at_member_cap(self, monkeypatch):
+        # the full 3-shift has 3^s members of length s: the covering scan must
+        # stop once it lists more than 2^18 of them (s = 12), long before s > 18
+        real = recurrence.iter_members
+
+        def bounded(space, length, limit=None):
+            out = real(space, length, limit)
+            assert len(out) <= 2 ** 18 + 1, (length, len(out))
+            return out
+
+        monkeypatch.setattr(recurrence, "iter_members", bounded)
+        sys_ = DynSystem(full_class(3, 16), builtin_map("left-shift", 3, 16))
+        with pytest.raises(HorizonExhausted, match=r"more than 2\^18 members of length 12"):
+            construct_recurrent_point(sys_, stages=3)
 
     def test_deep_non_suffix_store_runs_out_of_budget(self, monkeypatch):
         # with no moduli past 0 the store walk goes to the working depth; an

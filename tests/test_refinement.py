@@ -174,10 +174,11 @@ class TestMeetOrAvoid:
                         assert not f.iterate(w, m).startswith("10")
 
     def test_reach_back(self):
-        r, case = meet_or_avoid(full_sys(), OpenRequest.static("u", ["0", "1"]))
+        parent = full_sys()
+        r, case = meet_or_avoid(parent, OpenRequest.static("u", ["0", "1"]))
         s = r.meta["s"]
         assert r.meta["reach_back"] == s + 1
-        f = r.parent.map
+        f = parent.map
         for w in all_words(2, N):
             hits = [k for k in range(s + 2)
                     if r.child.space.member(f.iterate(w, k))]

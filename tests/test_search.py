@@ -65,8 +65,7 @@ def _avoidances(m, forbidden, entries):
 def _checked_search(step):
     """Every member of the full class up to ``DEPTH`` that passes ``step``,
     which the search calls on every child of every passing node."""
-    return iter_members(restrict_class(full_class(2, DEPTH), lambda w: True, "checked",
-                                       step=step), DEPTH)
+    return iter_members(restrict_class(full_class(2, DEPTH), step, "checked"), DEPTH)
 
 
 class _Checked:
@@ -77,7 +76,7 @@ class _Checked:
 
     def ok_extension(self, word):
         got = self.av.ok_extension(word)
-        assert got == self.av.ok(word), (self.av.label, word)
+        assert got == self.av.ok(word), (self.av.stage, word)
         return got
 
 
@@ -108,7 +107,7 @@ def test_incremental_matches_full_out_of_order(m, forbidden, entries, rnd):
                    if all(av.ok(w[:t]) for t in range(len(w)))]
         rnd.shuffle(queries)
         for w in queries:
-            assert av.ok_extension(w) == av.ok(w), (av.label, w)
+            assert av.ok_extension(w) == av.ok(w), (av.stage, w)
 
 
 @given(avoidance_maps, stage_entries)

@@ -4,14 +4,15 @@ from hypothesis import strategies as st
 
 from cantordyn.errors import DepthExceeded
 from cantordyn.maps import builtin_map
+from cantordyn.minimal import product_system
 from cantordyn.search import (OrbitAvoidance, avoidance_class, death_length,
-                              find_member, iter_members)
+                              find_member, iter_members, live_nodes)
 from cantordyn.systems import (APCert, APRow, DynSystem, PointApprox, RecCert,
                                cylinder_class, explicit_class, forbidden_window_class,
                                full_class, orbit_class, rec_cert_from_ap,
                                search_ap_row, stagewise_class, validate_system,
                                verify_ap, verify_recurrence)
-from cantordyn.words import all_words, periodic_word
+from cantordyn.words import all_words, periodic_word, words_up_to
 
 
 class TestClosedClasses:
@@ -71,6 +72,17 @@ class TestValidateSystem:
         rep = validate_system(sys_)
         assert not rep.ok
         assert any(c == "forward-invariance" for c, _, _ in rep.entries)
+
+    def test_violations_in_length_lex_order(self):
+        # a stagewise class the shift does not preserve: the report lists its
+        # forward-invariance witnesses shortest first, then lexicographically
+        space = stagewise_class(2, 10, [(2, "11"), (4, "101"), (1, "0000")], 5)
+        rep = validate_system(DynSystem(space, builtin_map("left-shift", 2, 10)))
+        assert {c for c, _, _ in rep.entries} == {"forward-invariance"}
+        witnesses = [w for _, w, _ in rep.entries]
+        assert len(witnesses) == 445
+        assert witnesses[:4] == ["011", "0101", "0110", "0111"]
+        assert witnesses == sorted(witnesses, key=lambda w: (len(w), w))
 
 
 def orbit(X: PointApprox, steps: int) -> list[str]:
@@ -192,3 +204,90 @@ def test_search_row_matches_verify(word):
         row = search_ap_row(X, c, b)
         if row is not None:
             assert verify_ap(X, APCert((row,)))
+
+
+# -- membership by child test, against the full-membership definitions ------
+
+MEMBER_DEPTH = 8
+HORIZON = 4
+short_words = st.text(alphabet="01", max_size=4)
+
+
+@st.composite
+def base_classes(draw, depth=MEMBER_DEPTH):
+    """A forbidden-window, explicit or stagewise class at ``depth``, with the
+    full membership formula it had before classes were given by their child
+    test: ``(cls, member(w), member_at(w, s))``."""
+    kind = draw(st.sampled_from(["sft", "nodes", "stages"]))
+    if kind == "sft":
+        forb = draw(st.lists(st.text(alphabet="01", min_size=1, max_size=3),
+                             min_size=1, max_size=4))
+        lens = sorted({len(w) for w in forb})
+        by_len = {t: {w for w in forb if len(w) == t} for t in lens}
+
+        def ref(w):
+            return not any(w[i:i + t] in by_len[t]
+                           for t in lens for i in range(len(w) - t + 1))
+
+        return forbidden_window_class(2, depth, forb), ref, None
+    if kind == "nodes":
+        nodes = draw(st.lists(st.text(alphabet="01", max_size=depth), max_size=4))
+        return explicit_class(2, depth, nodes), lambda w: any(v.startswith(w) for v in nodes), None
+    removals = draw(st.lists(st.tuples(st.integers(0, HORIZON + 1), short_words), max_size=4))
+
+    def ref_at(w, s):
+        return not any(st_ <= s and w.startswith(node) for st_, node in removals)
+
+    return (stagewise_class(2, depth, removals, HORIZON),
+            lambda w: ref_at(w, HORIZON), ref_at)
+
+
+@st.composite
+def restricted_classes(draw):
+    """A base class, or its ``cylinder_class`` or ``avoidance_class``
+    restriction, with the old ``base.member(w) and pred(w)`` reference."""
+    cls, ref, ref_at = draw(base_classes())
+    how = draw(st.sampled_from(["base", "cylinder", "avoid"]))
+    if how == "cylinder":
+        listed = draw(st.lists(st.text(alphabet="01", max_size=MEMBER_DEPTH), min_size=1,
+                               max_size=3))
+
+        def compatible(w):
+            return any(v.startswith(w) or w.startswith(v) for v in listed)
+
+        return cylinder_class(cls, listed, "cyl"), lambda w: ref(w) and compatible(w), None
+    if how == "avoid":
+        kind = draw(st.sampled_from(["left-shift", "identity", "column-shift"]))
+        m = builtin_map(kind, 2, MEMBER_DEPTH, columns=2 if kind == "column-shift" else None)
+        forb = draw(st.dictionaries(st.text(alphabet="01", min_size=1, max_size=3),
+                                    st.integers(0, 3), min_size=1, max_size=3))
+        av = OrbitAvoidance(m, forb)
+        return avoidance_class(cls, av, "avoid"), lambda w: ref(w) and av.ok(w), None
+    return cls, ref, ref_at
+
+
+@st.composite
+def product_classes(draw):
+    """A 2- or 3-column product of base classes, against the conjunction of
+    its columns' references."""
+    parts = draw(st.lists(base_classes(depth=4), min_size=2, max_size=3))
+    cols = len(parts)
+    cls = product_system([p for p, _, _ in parts]).space
+
+    def ref(w):
+        return all(parts[n][1](w[n::cols]) for n in range(cols))
+
+    return cls, ref, None
+
+
+@given(st.one_of(restricted_classes(), product_classes()))
+@settings(max_examples=150, deadline=None)
+def test_member_matches_full_definition(case):
+    cls, ref, ref_at = case
+    want = [w for w in words_up_to(2, MEMBER_DEPTH) if ref(w)]
+    assert [w for w in words_up_to(2, MEMBER_DEPTH) if cls.member(w)] == want
+    assert sorted(live_nodes(cls, MEMBER_DEPTH), key=len) == want
+    if ref_at is not None:
+        for s in range(HORIZON + 1):
+            for w in words_up_to(2, MEMBER_DEPTH):
+                assert cls.member(w, stage=s) == ref_at(w, s), (w, s)

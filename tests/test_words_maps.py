@@ -51,7 +51,7 @@ class TestBuiltinMaps:
         assert out == "10"
         assert out[0::2] == "0110"[0::2][1:]
         assert out[1::2] == "0110"[1::2][1:]
-        assert cs.columns == 2
+        assert cs.suffix_step == 2
         assert cs.check() == []
 
     def test_bad_kind(self):
