@@ -393,6 +393,20 @@ def cmd_reduce_tree(args, spec: SystemSpec):
     return {"scan_depth": args.scan_depth}, outcome, {}, equal
 
 
+def _at_least(least: int):
+    """An argparse type for integers no smaller than ``least``: argparse then
+    rejects a smaller count with the flag named and exit code 2."""
+    def count(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        return value
+    return count
+
+
+_COUNT, _POSITIVE = _at_least(0), _at_least(1)
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="cantordyn",
                                 description="finite-depth Cantor-space dynamics "
@@ -413,23 +427,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = command("orbit", cmd_orbit, "orbit of a point approximation")
     sp.add_argument("--point", help="start word (default: least full-depth member)")
-    sp.add_argument("--steps", type=int)
+    sp.add_argument("--steps", type=_COUNT)
 
     sp = command("recurrent", cmd_recurrent, "construct a recurrent point", trace=True)
-    sp.add_argument("--stages", type=int, default=6)
+    sp.add_argument("--stages", type=_COUNT, default=6)
 
     sp = command("minimal", cmd_minimal, "greedy minimal subsystem", trace=True)
-    sp.add_argument("--enum-len", type=int, default=4)
+    sp.add_argument("--enum-len", type=_COUNT, default=4)
 
     sp = command("decode-halting", cmd_decode_halting,
                  "code and decode a halting simulation", spec=False)
     sp.add_argument("--sim", required=True, help="halting simulation file (JSON)")
-    sp.add_argument("--coldepth", type=int, default=8, help="depth per column")
-    sp.add_argument("--enum-len", type=int, default=None)
+    sp.add_argument("--coldepth", type=_POSITIVE, default=8, help="depth per column")
+    sp.add_argument("--enum-len", type=_COUNT, default=None)
 
     sp = command("dodge", cmd_dodge, "periodic-orbit dodging construction")
-    sp.add_argument("--max-period", type=int, default=4)
-    sp.add_argument("--sigma-stages", type=int, default=4)
+    sp.add_argument("--max-period", type=_COUNT, default=4)
+    sp.add_argument("--sigma-stages", type=_COUNT, default=4)
 
     sp = command("meet-avoid", cmd_meet_avoid, "meet-or-avoid refinement chain")
     sp.add_argument("--requests", required=True, help="requests file (JSON)")
@@ -440,11 +454,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = command("ap-point", cmd_ap_point, "construct an almost periodic point")
     sp.add_argument("--requests", help="requests file (JSON)")
-    sp.add_argument("--cmax", type=int, default=4)
+    sp.add_argument("--cmax", type=_COUNT, default=4)
     sp.add_argument("--seed", type=int, default=0, help="seed for the sampled chain check")
 
     sp = command("reduce-tree", cmd_reduce_tree, "tree-path reduction oracle", trace=True)
-    sp.add_argument("--scan-depth", type=int, default=6)
+    sp.add_argument("--scan-depth", type=_COUNT, default=6)
     return p
 
 

@@ -53,12 +53,33 @@ def minimal_subsystem(sys_: DynSystem, enum_len: int = 4) -> tuple[DynSystem, Re
     Returns the pruned system and the audit chain.  The enumeration order
     (length-lexicographic) is part of the reproducibility contract: a
     different order can land on a different, equally minimal subsystem.
+
+    Only the nonemptiness of each candidate matters, so on a
+    :func:`product_system` under its own column shift with ``enum_len`` at
+    most two rows (``2·cols``), :func:`_columns_avoid` decides it over the
+    column members, listed once per call, and the candidate class is built
+    only for an adopted removal; every other system runs the search.
     """
     f = sys_.map
     N = sys_.depth
     current = sys_.space
+    columns = sys_.space.columns
     adopted: list[str] = []
     chain = RemovalChain()
+
+    def candidate(words: list[str]) -> ClosedClass:
+        return avoidance_class(sys_.space, OrbitAvoidance(f, words),
+                               name=f"{sys_.space.name}\\[{','.join(words)}]")
+
+    if columns and f.suffix_step == len(columns) and enum_len <= 2 * len(columns):
+        members = [iter_members(c, c.depth) for c in columns]
+
+        def survives(words: list[str]) -> bool:
+            return _columns_avoid(members, columns[0].depth, words)
+    else:
+        def survives(words: list[str]) -> bool:
+            return find_member(candidate(words), N) is not None
+
     idx = 0
     for word in words_up_to(sys_.k, enum_len):
         if not word:
@@ -68,16 +89,60 @@ def minimal_subsystem(sys_: DynSystem, enum_len: int = 4) -> tuple[DynSystem, Re
             # removal already implied; the class is unchanged
             chain.stages.append(RemovalStage(idx, word, True, True, current))
             continue
-        candidate = avoidance_class(
-            sys_.space, OrbitAvoidance(f, adopted + [word]),
-            name=f"{sys_.space.name}\\[{','.join(adopted + [word])}]")
-        if find_member(candidate, N) is not None:
+        if survives(adopted + [word]):
             adopted.append(word)
-            current = candidate
+            current = candidate(adopted)
             chain.stages.append(RemovalStage(idx, word, True, False, current))
         else:
             chain.stages.append(RemovalStage(idx, word, False, False, current))
     return DynSystem(current, f), chain
+
+
+def _columns_avoid(members: list[list[str]], depth: int, words: list[str]) -> bool:
+    """Whether some choice of one member of length ``depth`` per column,
+    interleaved into rows, puts no word of ``words`` at a row start ``r·cols``
+    where it fits (``r·cols + |τ| ≤ cols·depth``): the test "the column-shift
+    avoidance class has a full-depth member" for words of at most ``2·cols``
+    letters, which only meet one row and the head of the next.
+
+    The columns are chosen in order (a transfer matrix run across columns),
+    and the states reached are deduplicated after each column.  A state keeps,
+    per row, the row's letters so far and the next row's first
+    ``max(0, max|τ| − cols)`` letters, which finish the windows that start at
+    the row; a row is ``None`` once its letters are no proper prefix of a word.
+    """
+    cols = len(members)
+    forbidden = set(words)
+    open_prefixes = {w[:i] for w in words for i in range(1, len(w))}
+    heads = max(0, max(map(len, words)) - cols)
+    long_lens = sorted({len(w) for w in words if len(w) > cols})
+    states = {(("", ""),) * depth}
+    for j, column in enumerate(members):
+        grown = set()
+        for rows in states:
+            for c in column:
+                nxt = []
+                for r, row in enumerate(rows):
+                    if row is None:
+                        nxt.append(None)
+                        continue
+                    p, h = row
+                    p += c[r]
+                    if p in forbidden:
+                        break
+                    if p not in open_prefixes:
+                        nxt.append(None)
+                    elif j < heads and r + 1 < depth:
+                        nxt.append((p, h + c[r + 1]))
+                    else:
+                        nxt.append((p, h))
+                else:
+                    grown.add(tuple(nxt))
+        states = grown
+    return any(not any(row is not None and r * cols + t <= cols * depth
+                       and (row[0] + row[1])[:t] in forbidden
+                       for r, row in enumerate(rows) for t in long_lens)
+               for rows in states)
 
 
 def ap_bound_from_minimal(sys_: DynSystem, tau: str) -> int:
@@ -173,6 +238,11 @@ def product_system(parts: list[ClosedClass]) -> DynSystem:
     same few column words at many nodes, and a column holds at most
     ``k^(depth+1)`` words, so the memo stays small; it lives in this product's
     closure and is freed with it.  Staged membership is not memoized.
+
+    ``space.columns`` holds one class per column whose child test is that
+    column's memoized lookup, so listing column members asks each column word
+    at most once too.  Nothing is listed here: :func:`minimal_subsystem` lists
+    the columns when it runs.
     """
     if not parts:
         raise ValueError("empty product")
@@ -202,6 +272,8 @@ def product_system(parts: list[ClosedClass]) -> DynSystem:
     horizon = max(p.stage_horizon for p in parts)
     space = ClosedClass(parts[0].k, depth, step, member_at=member_at,
                         stage_horizon=horizon, name=f"product({cols})")
+    space.columns = [ClosedClass(p.k, depth0, lambda c, n=n: column(n, c), name=p.name)
+                     for n, p in enumerate(parts)]
     return DynSystem(space, builtin_map("column-shift", parts[0].k, depth, columns=cols))
 
 

@@ -27,10 +27,12 @@ class ClosedClass:
     ``w[:-1]`` does; ``member`` runs it along every prefix, so the class is
     downward closed by construction, and the searches run it once per node.
     ``member_at`` decides membership at an earlier stage when a schedule is
-    present.
+    present.  ``columns`` is ``None`` except on the space of a
+    :func:`~cantordyn.minimal.product_system`, where it holds one class per
+    column.
     """
 
-    __slots__ = ("k", "depth", "name", "stage_horizon", "_member_at", "_step")
+    __slots__ = ("k", "depth", "name", "stage_horizon", "columns", "_member_at", "_step")
 
     def __init__(self, k: int, depth: int, step: Callable[[str], bool], *,
                  member_at: Callable[[str, int], bool] | None = None,
@@ -39,6 +41,7 @@ class ClosedClass:
         self.depth = depth
         self.name = name
         self.stage_horizon = stage_horizon
+        self.columns: list[ClosedClass] | None = None
         self._member_at = member_at
         self._step = step
 

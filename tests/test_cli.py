@@ -375,6 +375,24 @@ class TestParser:
             main(argv)
         assert e.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["orbit", "spec.json", "--steps", "-1"],
+        ["recurrent", "spec.json", "--stages", "-1"],
+        ["minimal", "spec.json", "--enum-len", "-1"],
+        ["decode-halting", "--sim", "sim.json", "--enum-len", "-1"],
+        ["decode-halting", "--sim", "sim.json", "--coldepth", "0"],
+        ["decode-halting", "--sim", "sim.json", "--coldepth", "-3"],
+        ["dodge", "spec.json", "--max-period", "-1"],
+        ["dodge", "spec.json", "--sigma-stages", "-1"],
+        ["ap-point", "spec.json", "--cmax", "-1"],
+        ["reduce-tree", "spec.json", "--scan-depth", "-1"],
+    ], ids=lambda argv: f"{argv[0]}{argv[-2]}={argv[-1]}")
+    def test_negative_count_is_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        assert e.value.code == 2
+        assert f"argument {argv[-2]}: must be at least" in capsys.readouterr().err
+
 
 def _stable(report: dict) -> str:
     report = dict(report)

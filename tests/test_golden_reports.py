@@ -65,6 +65,10 @@ INPUTS = {
                      {"name": "u4", "stages": [[0, "000"], [4, "010"]]}],
     "sim.json": {"stage_horizon": 6, "bits": [[0, None], [1, 1], [2, 2], [3, None]]},
     "sim-empty.json": {"stage_horizon": 4, "bits": []},
+    "sim-mixed.json": {"stage_horizon": 3,
+                       "bits": [[0, 2], [1, 1], [2, 3], [3, 2], [4, 2], [5, None]]},
+    "sim-3.json": {"stage_horizon": 3, "bits": [[0, 1], [1, 1], [2, None]]},
+    "sim-2.json": {"stage_horizon": 3, "bits": [[0, 2], [1, 1]]},
 }
 
 # name -> argv; input file names are resolved in the run directory
@@ -100,6 +104,14 @@ JOBS = {
     "recurrent-stagewise": ["recurrent", "stagewise.json", "--stages", "3", "--trace"],
     "minimal-stagewise": ["minimal", "stagewise.json", "--trace"],
     "minimal-orbit": ["minimal", "orbit-01.json", "--trace"],
+    # mixed entry stages; enum_len up to 2·cols runs the column program, past it the DFS
+    "decode-halting-mixed": ["decode-halting", "--sim", "sim-mixed.json", "--coldepth", "8"],
+    "decode-halting-two-rows": ["decode-halting", "--sim", "sim-3.json", "--coldepth", "8",
+                                "--enum-len", "6"],
+    "decode-halting-past-two-rows": ["decode-halting", "--sim", "sim-3.json",
+                                     "--coldepth", "8", "--enum-len", "7"],
+    "decode-halting-2-cols": ["decode-halting", "--sim", "sim-2.json", "--coldepth", "10",
+                              "--enum-len", "4"],
 }
 
 _TIMING = re.compile(r'^  "timing_ms": \d+,\n', re.MULTILINE)

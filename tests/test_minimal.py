@@ -1,15 +1,16 @@
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cantordyn.errors import NotMinimal, UndecidedAtDepth
 from cantordyn.maps import builtin_map
-from cantordyn.minimal import (HaltingSim, ap_bound_from_minimal,
+from cantordyn.minimal import (HaltingSim, _columns_avoid, ap_bound_from_minimal,
                                build_bit_coder, decode_bit, minimal_subsystem,
                                product_system, s_orbit)
-from cantordyn.search import iter_members
+from cantordyn.search import (OrbitAvoidance, avoidance_class, find_member,
+                              iter_members)
 from cantordyn.systems import (ClosedClass, DynSystem, explicit_class,
                                full_class, validate_system)
 from cantordyn.words import all_words, letters, periodic_word, words_up_to
@@ -219,3 +220,49 @@ def test_product_asks_each_column_word_once():
     for n, per_word in enumerate(calls):
         assert per_word, n
         assert max(per_word.values()) == 1, (n, per_word.most_common(3))
+
+
+@st.composite
+def column_products(draw):
+    """Products of 1–5 bit coders (never halting or entering at stage 1..3 of
+    3) at column depth 1–6, with 1–6 forbidden words of 1..2·cols letters.
+    Some words are row-aligned windows of members, so that they can matter
+    in the last rows too."""
+    stages = draw(st.lists(st.one_of(st.none(), st.integers(1, 3)), min_size=1, max_size=5))
+    coldepth = draw(st.integers(1, 6))
+    sim = HaltingSim(tuple(enumerate(stages)), stage_horizon=3)
+    prod = product_system([build_bit_coder(n, sim, coldepth) for n, _ in sim.bits])
+    cols = len(stages)
+    window = st.builds(lambda w, r, t: w[r * cols:r * cols + t],
+                       st.sampled_from(iter_members(prod.space, prod.depth, limit=32)),
+                       st.integers(0, coldepth - 1), st.integers(1, 2 * cols))
+    words = draw(st.lists(st.one_of(st.text("01", min_size=1, max_size=2 * cols), window),
+                          min_size=1, max_size=6))
+    return prod, words
+
+
+# two rows of (01)^ω: every member meets a word ending exactly at full depth
+@example((product_system([build_bit_coder(0, HaltingSim(((0, 1),), 3), 2)]), ["01", "10"]))
+@given(column_products())
+@settings(max_examples=500, deadline=None)
+def test_column_program_matches_search(prod_words):
+    prod, words = prod_words
+    columns = prod.space.columns
+    members = [iter_members(c, c.depth) for c in columns]
+    candidate = avoidance_class(prod.space, OrbitAvoidance(prod.map, words), "candidate")
+    assert (_columns_avoid(members, columns[0].depth, words)
+            == (find_member(candidate, prod.depth) is not None))
+
+
+def test_halting_coding_runs_no_search(monkeypatch):
+    # 8 mixed-stage bits: minutes of exhaustive failing searches on the DFS path
+    sim = HaltingSim(((0, 2), (1, 1), (2, 3), (3, 2), (4, 2), (5, None), (6, None),
+                      (7, None)), stage_horizon=3)
+    prod = product_system([build_bit_coder(n, sim, 8) for n, _ in sim.bits])
+
+    def no_search(*args):
+        raise AssertionError("find_member called")
+
+    monkeypatch.setattr("cantordyn.minimal.find_member", no_search)
+    msys, _ = minimal_subsystem(prod, enum_len=len(sim.bits) + 2)
+    assert [decode_bit(msys, n) for n, _ in sim.bits] == [t is not None for _, t in sim.bits]

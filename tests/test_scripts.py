@@ -16,6 +16,10 @@ ROOT = Path(__file__).resolve().parent.parent
 @pytest.mark.parametrize("argv", [
     ["scripts/gadget_scan.py", "--trees", "2"],
     ["scripts/halting_roundtrip.py", "--bits", "3"],
+    # a speed guard: these 8 mixed-stage bits take minutes when every rejected
+    # removal is an exhaustive search over the product
+    pytest.param(["scripts/halting_roundtrip.py", "--bits", "8", "--seed", "0"],
+                 id="halting_roundtrip-8-bits"),
     ["scripts/ap_forcing_walkthrough.py"],
 ], ids=lambda argv: Path(argv[0]).stem)
 def test_script_exits_zero(argv):
