@@ -385,12 +385,19 @@ def cmd_ap_point(args, spec: SystemSpec):
 
 
 def cmd_reduce_tree(args, spec: SystemSpec):
+    scan = args.scan_depth
+    if spec.alphabet != 2:
+        raise SpecFormatError("reduce-tree needs a source tree over alphabet 2", "alphabet")
+    if spec.depth < 2 * scan + 1:
+        raise SpecFormatError(f"must be at least 2*scan_depth + 1 = {2 * scan + 1} "
+                              f"for --scan-depth {scan}", "depth")
     tree = spec.build_tree()
-    equal = rec.gadget_recurrent_equals_paths(tree, args.scan_depth)
-    outcome = {"scan_depth": args.scan_depth, "recurrent_equals_paths": equal}
+    recurrent = rec.gadget_recurrent_set(tree, scan)
+    equal = recurrent == set(iter_members(tree, scan))
+    outcome = {"scan_depth": scan, "recurrent_equals_paths": equal}
     if args.trace:
-        outcome["recurrent_set"] = sorted(rec.gadget_recurrent_set(tree, args.scan_depth))
-    return {"scan_depth": args.scan_depth}, outcome, {}, equal
+        outcome["recurrent_set"] = sorted(recurrent)
+    return {"scan_depth": scan}, outcome, {}, equal
 
 
 def _at_least(least: int):

@@ -84,14 +84,19 @@ def build_ternary_gadget(tree: ClosedClass) -> DynSystem:
 
 
 def _padded_certifies(f: CodedMap, word: str, depth: int, c_max: int) -> bool:
+    """Whether the zero-padded word returns to ``pad↾c`` at a time ``n > c``
+    for every ``c ≤ c_max``.  A return to ``pad↾c_max`` at ``n > c_max``
+    serves every smaller ``c``, so the orbit is walked to the first one."""
     pad = word + "0" * (depth - len(word))
-    orb = f.orbit(pad, depth)
-    for c in range(1, c_max + 1):
-        target = pad[:c]
-        if not any(len(orb[n]) >= c and orb[n].startswith(target)
-                   for n in range(c + 1, depth + 1)):
+    target = pad[:c_max]
+    cur = pad
+    for n in range(1, depth + 1):
+        cur = f.apply(cur)
+        if n > c_max and cur.startswith(target):
+            return True
+        if not cur:
             return False
-    return True
+    return False
 
 
 def gadget_recurrent_set(tree: ClosedClass, scan_depth: int) -> set[str]:
@@ -112,9 +117,7 @@ def gadget_recurrent_equals_paths(tree: ClosedClass, scan_depth: int) -> bool:
     tree's own working depth (in particular for trees whose membership is
     determined at ``scan_depth``).
     """
-    recurrent = gadget_recurrent_set(tree, scan_depth)
-    members = {w for w in all_words(2, scan_depth) if tree.member(w)}
-    return recurrent == members
+    return gadget_recurrent_set(tree, scan_depth) == set(iter_members(tree, scan_depth))
 
 
 @dataclass(frozen=True)
@@ -141,12 +144,16 @@ class _StageState:
         self._ret: dict[str, int | None] = {}
 
     def ret(self, w: str) -> int | None:
-        """Least ``n ≥ i-1`` with ``f^n(w) ⪰ w↾(i-1)`` (None when none)."""
+        """Least ``n ≥ i-1`` with ``f^n(w) ⪰ w↾(i-1)`` (None when none).  On a
+        suffix map ``f^n(w) = w[n·step:]``: an offset, read with no walk or memo."""
         p = self.precision
         if p == 0:
             return 0
         if len(w) <= p:
             return None
+        if step := self.f.suffix_step:
+            return next((n for n in range(p, (len(w) - p) // step + 1)
+                         if w.startswith(w[:p], n * step)), None)
         got = self._ret.get(w, -1)
         if got != -1:
             return got
@@ -163,25 +170,27 @@ class _StageState:
         self._ret[w] = res
         return res
 
-    def ancestor_ok(self, w: str) -> bool:
-        """Some proper prefix is in the previous stage's store."""
-        return bool(w) and _has_prefix_in(w[:-1], self.prev_store, self.prev_lens)
-
-    def qualifies(self, w: str, s: int) -> bool:
-        if not self.ancestor_ok(w):
-            return False
+    def returns_within(self, w: str, s: int) -> bool:
         r = self.ret(w)
         return r is not None and r <= s
+
+    def qualifies(self, w: str, s: int) -> bool:
+        """A proper prefix is in the previous store and ``w`` returns by ``s``."""
+        return (bool(w) and _has_prefix_in(w[:-1], self.prev_store, self.prev_lens)
+                and self.returns_within(w, s))
 
 
 def _covered(state: _StageState, v: str, s: int) -> bool:
     """V-condition: some iterate of ``v`` within ``s`` steps extends a
-    stage-``i`` qualifying word."""
+    stage-``i`` qualifying word.
+
+    Each iterate is tested once, not its prefixes, by order preservation: if
+    a prefix ``u`` of ``cur`` qualifies, so does ``cur``, since ``u``'s stored
+    ancestor is a proper prefix of ``cur`` and ``f^n(u) ⪯ f^n(cur)``."""
     cur = v
     for n in range(s + 1):
-        for t in range(len(cur), 0, -1):
-            if state.qualifies(cur[:t], s):
-                return True
+        if state.qualifies(cur, s):
+            return True
         if not cur:
             break
         cur = state.f.apply(cur)
@@ -200,7 +209,9 @@ def _store_stage(state: _StageState, s: int, k: int) -> set[str]:
     the working depth.
 
     The walk searches the class of words with no stored proper prefix, so it
-    never descends below a word it has stored."""
+    never descends below a word it has stored.  It visits a word right after
+    its parent, so having a proper prefix in the previous store is carried
+    down the path."""
     need = state.precision
     try:
         for _ in range(s):
@@ -213,11 +224,14 @@ def _store_stage(state: _StageState, s: int, k: int) -> set[str]:
     walk = ClosedClass(k, state.depth, lambda w: w[:-1] not in stored,
                        name=f"store({state.i})")
     budget = _STORE_NODE_BUDGET
+    anc: list[bool] = []
     for w in live_nodes(walk, cap):
         budget -= 1
         if budget <= 0:
             raise HorizonExhausted(f"stage {state.i}: store enumeration budget exceeded")
-        if state.qualifies(w, s):
+        L = len(w)
+        anc[L:] = [L > 0 and (anc[L - 1] or w[:-1] in state.prev_store)]
+        if anc[L] and state.returns_within(w, s):
             stored.add(w)
     return stored
 

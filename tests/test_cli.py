@@ -344,6 +344,17 @@ class TestCommands:
                                 tmp_path, "deep-out.json")
         assert code == 0 and rep["outcome"]["recurrent_equals_paths"]
 
+    @pytest.mark.parametrize("spec, message", [
+        (dict(GOLDEN, alphabet=3), "error: alphabet: reduce-tree needs a source tree over alphabet 2"),
+        (dict(GOLDEN, depth=10), "error: depth: must be at least 2*scan_depth + 1 = 11 "
+                                 "for --scan-depth 5"),
+    ], ids=["alphabet-3", "depth-below-scan"])
+    def test_reduce_tree_spec_errors(self, tmp_path, capsys, spec, message):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(spec))
+        assert main(["reduce-tree", str(p), "--scan-depth", "5"]) == 2
+        assert message in capsys.readouterr().err
+
     def test_validate_depth_1500(self, tmp_path):
         p = tmp_path / "deep.json"
         p.write_text(json.dumps(dict(GOLDEN, depth=1500, tree={"kind": "full"})))

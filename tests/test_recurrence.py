@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from cantordyn import recurrence
 from cantordyn.errors import HorizonExhausted
 from cantordyn.maps import CodedMap, builtin_map, random_normalized_map
-from cantordyn.recurrence import (_StageState, _store_stage, audit_cover_stages,
+from cantordyn.recurrence import (_covered, _StageState, _store_stage, audit_cover_stages,
                                   build_ternary_gadget, construct_recurrent_point,
                                   gadget_recurrent_equals_paths,
                                   gadget_recurrent_set)
@@ -25,16 +25,17 @@ def zeros_tree(depth=DEPTH):
     return explicit_class(2, depth, ["0" * depth])
 
 
-def cylinder_tree(kept6, depth=DEPTH, k=2):
-    """Tree determined at level 6: words live iff their 6-prefix is kept."""
+def cylinder_tree(kept6, depth=DEPTH, k=2, level=6):
+    """Tree determined at ``level``: words live iff their prefix of that
+    length is kept."""
     kept = frozenset(kept6)
 
     def member(w):
-        if len(w) <= 6:
+        if len(w) <= level:
             return any(v.startswith(w) for v in kept)
-        return w[:6] in kept
+        return w[:level] in kept
 
-    return ClosedClass(k, depth, member, name="cyl6")
+    return ClosedClass(k, depth, member, name=f"cyl{level}")
 
 
 class TestGadgetMap:
@@ -100,6 +101,34 @@ class TestGadgetOracle:
         depth = 17
         tree = explicit_class(2, depth, ["0" * depth, "01" * 8 + "0", "110"])
         assert gadget_recurrent_equals_paths(tree, 8)
+
+
+@given(st.integers(1, 4), st.integers(0, 2), st.sampled_from(["cylinder", "forbidden"]),
+       st.data())
+@settings(max_examples=60, deadline=None)
+def test_gadget_set_matches_per_precision_reference(scan, extra, kind, data):
+    """The one-precision lazy oracle finds the set that testing every
+    precision ``c ≤ scan`` on the fully built orbit finds."""
+    depth = 2 * scan + 1 + extra
+    if kind == "cylinder":
+        level = sorted(all_words(2, scan))
+        kept = data.draw(st.lists(st.sampled_from(level), min_size=1, unique=True))
+        tree = cylinder_tree(kept, depth, level=scan)
+    else:
+        words = data.draw(st.lists(st.text(alphabet="01", min_size=2, max_size=scan + 1),
+                                   max_size=3))
+        tree = forbidden_window_class(2, depth, words)
+    f = build_ternary_gadget(tree).map
+
+    def certifies(w):
+        pad = w + "0" * (depth - len(w))
+        orb = f.orbit(pad, depth)
+        return all(any(len(orb[n]) >= c and orb[n].startswith(pad[:c])
+                       for n in range(c + 1, depth + 1))
+                   for c in range(1, scan + 1))
+
+    want = {w for w in all_words(3, scan) if certifies(w)}
+    assert gadget_recurrent_set(tree, scan) == want
 
 
 class TestConstructRecurrentPoint:
@@ -174,6 +203,32 @@ class TestConstructRecurrentPoint:
         assert verify_recurrence(X, cert)
         assert audit_cover_stages(sys_, stages).ok
 
+    def test_suffix_return_times_make_no_apply_calls(self, monkeypatch):
+        # a work guard that counts instead of timing: on a suffix map every
+        # return time is read as an offset into the word
+        calls = {"ret": 0, "open": 0, "apply_in_ret": 0}
+        real_ret, real_apply = _StageState.ret, CodedMap.apply
+
+        def ret(self, w):
+            calls["ret"] += 1
+            calls["open"] += 1
+            try:
+                return real_ret(self, w)
+            finally:
+                calls["open"] -= 1
+
+        def apply(self, w):
+            calls["apply_in_ret"] += calls["open"] > 0
+            return real_apply(self, w)
+
+        monkeypatch.setattr(_StageState, "ret", ret)
+        monkeypatch.setattr(CodedMap, "apply", apply)
+        sys_ = DynSystem(forbidden_window_class(2, 24, ["11"]), builtin_map("left-shift", 2, 24))
+        _, _, stages = construct_recurrent_point(sys_, stages=4)
+        assert [(len(st.U), len(st.V)) for st in stages] == [
+            (1, 1), (2, 2), (6, 5), (62, 34), (1570, 377)]
+        assert calls["ret"] > 0 and calls["apply_in_ret"] == 0
+
 
 STORE_DEPTH = 7
 
@@ -207,14 +262,60 @@ def test_store_is_minimal_qualifying_words(f, i, s, prev):
         cap = N
 
     def qualifies(w):
-        if not any(w[:t] in prev for t in range(len(w))):
-            return False
-        return p == 0 or (len(w) > p and any(f.iterate(w, n).startswith(w[:p])
-                                             for n in range(p, min(s, N) + 1)))
+        return _qualifies_ref(f, N, p, s, prev, w)
 
     want = {w for w in words_up_to(2, cap)
             if qualifies(w) and not any(qualifies(w[:t]) for t in range(len(w)))}
     assert _store_stage(_StageState(f, N, i, frozenset(prev)), s, 2) == want
+
+
+def _qualifies_ref(f, N, p, s, prev, w):
+    """Reference stage qualification: a proper prefix in ``prev`` and a
+    return to ``w↾p`` at some time ``n`` in ``[p, s]``, by iterating ``f``."""
+    if not any(w[:t] in prev for t in range(len(w))):
+        return False
+    return p == 0 or (len(w) > p and any(f.iterate(w, n).startswith(w[:p])
+                                         for n in range(p, min(s, N) + 1)))
+
+
+@given(store_maps(), st.integers(1, 3), st.integers(1, STORE_DEPTH),
+       st.sets(st.text(alphabet="01", max_size=3), min_size=1, max_size=4),
+       st.text(alphabet="01", max_size=STORE_DEPTH))
+@settings(max_examples=150, deadline=None)
+def test_covered_matches_prefix_loop(f, i, s, prev, v):
+    """Testing each iterate once decides the V-condition as testing every
+    prefix of every iterate does."""
+    N, p = STORE_DEPTH, i - 1
+    iterates = [f.iterate(v, n) for n in range(s + 1)]
+    want = any(_qualifies_ref(f, N, p, s, prev, cur[:t])
+               for cur in iterates for t in range(1, len(cur) + 1))
+    assert _covered(_StageState(f, N, i, frozenset(prev)), v, s) == want
+
+
+@given(st.sampled_from([1, 2]), st.integers(1, 6), st.text(alphabet="01", max_size=16))
+@settings(max_examples=200, deadline=None)
+def test_suffix_return_time_matches_orbit_walk(step, i, w):
+    """On a suffix map the offset return time is the least ``n ≥ i-1`` the
+    ``apply`` walk finds, and it leaves the memo empty."""
+    N, p = 16, i - 1
+    f = (builtin_map("left-shift", 2, N) if step == 1
+         else builtin_map("column-shift", 2, N, columns=step))
+
+    def walk_ret():
+        if p == 0:
+            return 0
+        if len(w) <= p:
+            return None
+        cur = w
+        for n in range(1, N + 1):
+            cur = f.apply(cur) if cur else ""
+            if n >= p and len(cur) >= p and cur.startswith(w[:p]):
+                return n
+        return None
+
+    state = _StageState(f, N, i, frozenset([""]))
+    assert state.ret(w) == walk_ret()
+    assert not state._ret
 
 
 class TestCoverAudit:

@@ -15,6 +15,9 @@ ROOT = Path(__file__).resolve().parent.parent
 
 @pytest.mark.parametrize("argv", [
     ["scripts/gadget_scan.py", "--trees", "2"],
+    # the tree-reduction oracle at the benchmark's scan depth
+    pytest.param(["scripts/gadget_scan.py", "--scan-depth", "8", "--trees", "2"],
+                 id="gadget_scan-scan-depth-8"),
     ["scripts/halting_roundtrip.py", "--bits", "3"],
     # a speed guard: these 8 mixed-stage bits take minutes when every rejected
     # removal is an exhaustive search over the product
