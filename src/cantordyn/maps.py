@@ -97,33 +97,40 @@ class CodedMap:
     def check(self, max_len: int | None = None) -> list[str]:
         """Exhaustively check the table invariants up to ``max_len``.
 
-        Returns a list of human-readable violations (empty when clean).
-        Order preservation is checked on one-letter extensions, which by
-        transitivity covers every prefix pair.
+        Returns human-readable violations (empty when clean): ``f(λ)``, then
+        order, shrink and moduli.  Order is checked on one-letter extensions,
+        which by transitivity covers every prefix pair.  One pass computes
+        each image once, level by level, keeping each level's least image
+        length: only a modulus that this shows failing rescans its level.
         """
         cap = self.depth if max_len is None else min(max_len, self.depth)
-        bad: list[str] = []
         alpha = letters(self.k)
-        if self.apply("") != "":
-            bad.append(f"f(λ) = {self.apply('')!r} != λ")
-        for n in range(cap):
-            for w in all_words(self.k, n):
-                fw = self.apply(w)
+        apply = self.apply
+        f0 = apply("")
+        bad = [f"f(λ) = {f0!r} != λ"] if f0 != "" else []
+        order: list[str] = []
+        shrink: list[str] = []
+        least = [len(f0)]
+        words, images = [""], [f0]
+        for n in range(1, cap + 1):
+            next_words, next_images = [], []
+            for w, fw in zip(words, images):
                 for a in alpha:
-                    fwa = self.apply(w + a)
+                    wa = w + a
+                    fwa = apply(wa)
                     if not fwa.startswith(fw):
-                        bad.append(f"order violated: f({w!r})={fw!r} not a prefix of f({w + a!r})={fwa!r}")
-        if self.shrinking:
-            for n in range(1, cap + 1):
-                for w in all_words(self.k, n):
-                    if len(self.apply(w)) >= n:
-                        bad.append(f"shrink violated at {w!r}: |f| = {len(self.apply(w))}")
+                        order.append(f"order violated: f({w!r})={fw!r} not a prefix of f({wa!r})={fwa!r}")
+                    if self.shrinking and len(fwa) >= n:
+                        shrink.append(f"shrink violated at {wa!r}: |f| = {len(fwa)}")
+                    next_words.append(wa)
+                    next_images.append(fwa)
+            words, images = next_words, next_images
+            least.append(min(map(len, images)))
+        bad += order + shrink
         for l, m in sorted(self.moduli.items()):
-            if m <= cap:
-                for w in all_words(self.k, m):
-                    if len(self.apply(w)) < l:
-                        bad.append(f"modulus witness {m} fails for l={l} at {w!r}")
-                        break
+            if m <= cap and least[m] < l:
+                w = next(w for w in all_words(self.k, m) if len(apply(w)) < l)
+                bad.append(f"modulus witness {m} fails for l={l} at {w!r}")
         return bad
 
     @classmethod

@@ -25,7 +25,7 @@ from .maps import CodedMap
 from .search import (OrbitAvoidance, PredicateAvoidance, avoidance_class,
                      death_length, find_member)
 from .systems import (APCert, APRow, DynSystem, PointApprox, Report,
-                      restrict_class, search_ap_row)
+                      memo_class, restrict_class, search_ap_row)
 from .words import all_words, words_up_to
 
 
@@ -355,14 +355,19 @@ def nbh_periodicity(sys_: DynSystem, i: int) -> NbhResult:
     result is inclusion-maximal, so adjoining any surviving word kills the
     tree and its death length bounds the return time into that word's
     cylinder.
+
+    Every search restricts one ``memo_class`` of the parent, which asks the
+    parent's child test once per word; the result is built over the parent
+    itself, so the memo lives only as long as the call.
     """
     f = sys_.map
     N = sys_.depth
+    parent = memo_class(sys_.space)
     words_i = list(all_words(sys_.k, i))
     avoided: list[str] = []
     for w in reversed(words_i):
         cand = avoided + [w]
-        cls = avoidance_class(sys_.space, OrbitAvoidance(f, cand), name="nbh-cand")
+        cls = avoidance_class(parent, OrbitAvoidance(f, cand), name="nbh-cand")
         if find_member(cls, N) is not None:
             avoided = cand
     space = sys_.space if not avoided else avoidance_class(
@@ -371,7 +376,7 @@ def nbh_periodicity(sys_: DynSystem, i: int) -> NbhResult:
     for w in words_i:
         if w in avoided:
             continue
-        cls = avoidance_class(sys_.space, OrbitAvoidance(f, avoided + [w]), name="nbh-s")
+        cls = avoidance_class(parent, OrbitAvoidance(f, avoided + [w]), name="nbh-s")
         dl = death_length(cls, N)
         if dl is None:
             raise HorizonExhausted(f"return length for {w!r} exceeds depth {N}")

@@ -12,6 +12,7 @@ them without re-running the constructions that produced them.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
@@ -130,6 +131,13 @@ def restrict_class(base: ClosedClass, step: Callable[[str], bool], name: str) ->
     return ClosedClass(base.k, base.depth, lambda w: base_step(w) and step(w), name=name)
 
 
+def memo_class(base: ClosedClass) -> ClosedClass:
+    """``base`` with its child test asked once per word.  Sound for searches:
+    they ask the test only when every proper prefix passed, and there it is a
+    function of the word alone."""
+    return ClosedClass(base.k, base.depth, functools.cache(base._step), name=base.name)
+
+
 def cylinder_class(base: ClosedClass, words: Iterable[str], name: str) -> ClosedClass:
     """``base`` restricted to the union of the cylinders of ``words``: the
     words that are a prefix of one of them or extend one."""
@@ -222,10 +230,13 @@ class Report:
         self.entries.append((condition, witness, detail))
 
     def summary(self) -> str:
+        """The first three violations on one line, and how many more."""
         if self.ok:
             return "ok"
-        return "; ".join(f"{c} @ {w!r}" + (f" ({d})" if d else "")
-                         for c, w, d in self.entries)
+        text = "; ".join(f"{c} @ {w!r}" + (f" ({d})" if d else "")
+                         for c, w, d in self.entries[:3])
+        more = len(self.entries) - 3
+        return text + (f" (and {more} more)" if more > 0 else "")
 
     def to_json(self):
         return {"ok": self.ok,
@@ -239,23 +250,42 @@ def validate_system(sys_: DynSystem, max_len: int | None = None) -> Report:
     The cap defaults to ``min(depth, 12)``; beyond it the class is too wide to
     scan and rule-level construction is trusted.  Forward invariance is tested
     on members only, and nonemptiness at full depth always by search.
+
+    The walk keeps, per length on its path, the image and whether it is a
+    member.  A clean map check means ``f(w)`` extends ``f(w[:-1])``, so only
+    the letters past the parent's image need the child test; otherwise, or
+    past the depth, ``member`` decides.  Violations sort stably by length.
     """
     from .search import find_member, live_nodes
 
+    space, f = sys_.space, sys_.map
     cap = min(sys_.depth, 12) if max_len is None else min(max_len, sys_.depth)
     rep = Report()
-    for msg in sys_.space.check(cap):
+    for msg in space.check(cap):
         rep.add("tree", "", msg)
-    for msg in sys_.map.check(cap):
+    map_bad = f.check(cap)
+    for msg in map_bad:
         rep.add("map", "", msg)
-    if not sys_.space.member(""):
+    if not space.member(""):
         rep.add("nonempty", "", "root not a member")
-    elif find_member(sys_.space, sys_.depth) is None:
+    elif find_member(space, sys_.depth) is None:
         rep.add("nonempty", "", f"no member of length {sys_.depth}")
-    for w in sorted(live_nodes(sys_.space, cap), key=len):
-        fw = sys_.map.apply(w)
-        if not sys_.space.member(fw):
-            rep.add("forward-invariance", w, f"f({w!r}) = {fw!r} leaves the class")
+    step = space._step
+    path: list[tuple[str, bool]] = []  # (f(w), f(w) is a member) per length
+    left: list[tuple[str, str]] = []
+    for w in live_nodes(space, cap):
+        fw = f.apply(w)
+        if w and not map_bad and len(fw) <= space.depth:
+            fp, ok = path[len(w) - 1]
+            ok = ok and all(step(fw[:i]) for i in range(len(fp) + 1, len(fw) + 1))
+        else:
+            ok = space.member(fw)
+        del path[len(w):]
+        path.append((fw, ok))
+        if not ok:
+            left.append((w, fw))
+    for w, fw in sorted(left, key=lambda v: len(v[0])):
+        rep.add("forward-invariance", w, f"f({w!r}) = {fw!r} leaves the class")
     return rep
 
 

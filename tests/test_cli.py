@@ -355,6 +355,21 @@ class TestCommands:
         assert main(["reduce-tree", str(p), "--scan-depth", "5"]) == 2
         assert message in capsys.readouterr().err
 
+    def test_invalid_system_error_is_bounded(self, tmp_path, capsys):
+        # 1533 forward-invariance violations: the error names the first three
+        # and counts the rest, while the validate report keeps every entry
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(dict(GOLDEN, depth=40, stage_horizon=3, tree={
+            "kind": "stagewise", "removals": [[0, "11"], [2, "0101"]]})))
+        assert main(["ap-point", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.encode()) < 2048
+        assert err.startswith("error: system: spec builds an invalid system: "
+                              "forward-invariance @ '011' (f('011') = '11' leaves the class); ")
+        assert err.rstrip().endswith("(and 1530 more)")
+        code, rep = run_to_json(["validate", str(p)], tmp_path, "bad-out.json")
+        assert code == 1 and len(rep["outcome"]["violations"]) == 1533
+
     def test_validate_depth_1500(self, tmp_path):
         p = tmp_path / "deep.json"
         p.write_text(json.dumps(dict(GOLDEN, depth=1500, tree={"kind": "full"})))

@@ -1,5 +1,6 @@
 import gc
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -13,9 +14,9 @@ from cantordyn.refinement import (OpenRequest, Phi1Predicate, PiecewiseIterate,
                                   compose, construct_ap_point, least_element_forcing,
                                   meet_or_avoid, nbh_periodicity)
 from cantordyn.search import iter_members
-from cantordyn.systems import (DynSystem, explicit_class, forbidden_window_class,
-                               full_class, orbit_class, validate_system,
-                               verify_ap)
+from cantordyn.systems import (ClosedClass, DynSystem, explicit_class,
+                               forbidden_window_class, full_class, orbit_class,
+                               validate_system, verify_ap)
 from cantordyn.words import all_words, periodic_word
 
 N = 12
@@ -256,6 +257,25 @@ class TestNbhPeriodicity:
         assert res.avoided == ("1",)
         assert res.b == 1
         assert iter_members(res.system.space, N) == ["0" * N]
+
+    def test_parent_child_test_asked_once_per_word(self):
+        # a work guard that counts instead of timing: the golden mean at
+        # N = 64 after one meet stage, whose child test nests the meet class
+        gm = DynSystem(forbidden_window_class(2, 64, ["11"]), shift(64))
+        ref, case = meet_or_avoid(gm, OpenRequest.static("u", ["0"]))
+        assert case == "meet"
+        parent = ref.child.space
+        asked = Counter()
+
+        def step(w):
+            asked[w] += 1
+            return parent.member_step(w)
+
+        counted = ClosedClass(2, 64, step, name="counted")
+        res = nbh_periodicity(DynSystem(counted, ref.child.map), 2)
+        assert asked and max(asked.values()) == 1
+        want = nbh_periodicity(ref.child, 2)
+        assert (res.avoided, res.b) == (want.avoided, want.b)
 
     def test_return_bound_realized(self):
         sys_ = DynSystem(s_orbit(2, 16).space, builtin_map("left-shift", 2, 16))

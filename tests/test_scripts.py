@@ -24,6 +24,9 @@ ROOT = Path(__file__).resolve().parent.parent
     pytest.param(["scripts/halting_roundtrip.py", "--bits", "8", "--seed", "0"],
                  id="halting_roundtrip-8-bits"),
     ["scripts/ap_forcing_walkthrough.py"],
+    # the benchmark's top ap-forcing rung
+    pytest.param(["scripts/ap_forcing_walkthrough.py", "--depth", "256"],
+                 id="ap_forcing_walkthrough-depth-256"),
 ], ids=lambda argv: Path(argv[0]).stem)
 def test_script_exits_zero(argv):
     done = subprocess.run([sys.executable, *argv], cwd=ROOT, capture_output=True,

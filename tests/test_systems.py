@@ -1,17 +1,19 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cantordyn.errors import DepthExceeded
-from cantordyn.maps import builtin_map
+from cantordyn.maps import CodedMap, builtin_map, random_normalized_map
 from cantordyn.minimal import product_system
 from cantordyn.search import (OrbitAvoidance, avoidance_class, death_length,
                               find_member, iter_members, live_nodes)
 from cantordyn.systems import (APCert, APRow, DynSystem, PointApprox, RecCert,
-                               cylinder_class, explicit_class, forbidden_window_class,
-                               full_class, orbit_class, rec_cert_from_ap,
-                               search_ap_row, stagewise_class, validate_system,
-                               verify_ap, verify_recurrence)
+                               Report, cylinder_class, explicit_class,
+                               forbidden_window_class, full_class, orbit_class,
+                               rec_cert_from_ap, search_ap_row, stagewise_class,
+                               validate_system, verify_ap, verify_recurrence)
 from cantordyn.words import all_words, periodic_word, words_up_to
 
 
@@ -291,3 +293,53 @@ def test_member_matches_full_definition(case):
         for s in range(HORIZON + 1):
             for w in words_up_to(2, MEMBER_DEPTH):
                 assert cls.member(w, stage=s) == ref_at(w, s), (w, s)
+
+
+# -- validation in one pass, against the loop it replaced --------------------
+
+def listed_validate(sys_, cap):
+    """``validate_system`` with forward invariance tested the listed way: the
+    members up to the cap sorted by length, each image by ``member``."""
+    rep = Report()
+    for msg in sys_.space.check(cap):
+        rep.add("tree", "", msg)
+    for msg in sys_.map.check(cap):
+        rep.add("map", "", msg)
+    if not sys_.space.member(""):
+        rep.add("nonempty", "", "root not a member")
+    elif find_member(sys_.space, sys_.depth) is None:
+        rep.add("nonempty", "", f"no member of length {sys_.depth}")
+    for w in sorted(live_nodes(sys_.space, cap), key=len):
+        fw = sys_.map.apply(w)
+        if not sys_.space.member(fw):
+            rep.add("forward-invariance", w, f"f({w!r}) = {fw!r} leaves the class")
+    return rep
+
+
+@st.composite
+def validated_systems(draw):
+    """A forbidden-window, explicit or stagewise class at depth ≤ 7 under the
+    shift, the 2-column shift, a random normalized table, or such a table
+    changed so that it breaks order (the ``member`` path)."""
+    depth = draw(st.integers(1, 7))
+    cls, _, _ = draw(base_classes(depth=depth))
+    kind = draw(st.sampled_from(["shift", "column-shift", "table", "broken"]))
+    if kind == "shift":
+        return DynSystem(cls, builtin_map("left-shift", 2, depth))
+    if kind == "column-shift":
+        return DynSystem(cls, builtin_map("column-shift", 2, depth, columns=2))
+    m = random_normalized_map(2, depth, random.Random(draw(st.integers(0, 2 ** 31 - 1))))
+    if kind == "broken":
+        # flip the first letter of each nonempty image of an odd-length word,
+        # so the letters that break order come before the parent's image ends
+        table = {w: ("1" if fw[0] == "0" else "0") + fw[1:] if len(w) % 2 and fw else fw
+                 for w, fw in ((w, m.apply(w)) for w in words_up_to(2, depth))}
+        m = CodedMap(2, depth, table.__getitem__, m.moduli, shrinking=True, name="broken")
+    return DynSystem(cls, m)
+
+
+@given(validated_systems(), st.one_of(st.none(), st.integers(0, 7)))
+@settings(max_examples=400, deadline=None)
+def test_validate_matches_listed_loop(sys_, max_len):
+    cap = sys_.depth if max_len is None else min(max_len, sys_.depth)
+    assert validate_system(sys_, max_len).entries == listed_validate(sys_, cap).entries

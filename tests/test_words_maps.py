@@ -154,3 +154,60 @@ def test_random_maps_are_valid(rng):
         m = random_normalized_map(2, 6, rng)
         assert m.shrinking
         assert m.check() == []
+
+
+# -- the one-pass table check, against the three scans it replaced ----------
+
+def three_scan_check(m, cap):
+    """``CodedMap.check`` as three separate scans: order on every one-letter
+    extension, then shrinking, then each modulus at its witness length."""
+    bad = []
+    if m.apply("") != "":
+        bad.append(f"f(λ) = {m.apply('')!r} != λ")
+    for n in range(cap):
+        for w in all_words(m.k, n):
+            for a in letters(m.k):
+                fw, fwa = m.apply(w), m.apply(w + a)
+                if not fwa.startswith(fw):
+                    bad.append(f"order violated: f({w!r})={fw!r} not a prefix of f({w + a!r})={fwa!r}")
+    if m.shrinking:
+        for n in range(1, cap + 1):
+            for w in all_words(m.k, n):
+                if len(m.apply(w)) >= n:
+                    bad.append(f"shrink violated at {w!r}: |f| = {len(m.apply(w))}")
+    for l, wit in sorted(m.moduli.items()):
+        if wit <= cap:
+            for w in all_words(m.k, wit):
+                if len(m.apply(w)) < l:
+                    bad.append(f"modulus witness {wit} fails for l={l} at {w!r}")
+                    break
+    return bad
+
+
+@st.composite
+def faulty_maps(draw):
+    """A random normalized table (k 2–3, depth ≤ 6), as built or with one
+    fault: an image that breaks order, one that does not shrink, or a
+    modulus witness that is too small."""
+    k, depth = draw(st.integers(2, 3)), draw(st.integers(1, 6))
+    m = random_normalized_map(k, depth, random.Random(draw(st.integers(0, 2 ** 31 - 1))))
+    table = {w: m.apply(w) for w in words_up_to(k, depth)}
+    moduli = dict(m.moduli)
+    fault = draw(st.sampled_from(["none", "order", "shrink", "modulus"]))
+    w = draw(st.sampled_from(sorted(table)[1:]))
+    if fault == "order":
+        fw = table[w]
+        table[w] = ("1" if fw[0] == "0" else "0") + fw[1:] if fw else "0"
+    elif fault == "shrink":
+        table[w] = (table[w] + "0" * len(w))[:len(w)]
+    elif fault == "modulus":
+        l = draw(st.integers(1, depth))
+        moduli[l] = draw(st.integers(0, depth))
+    return CodedMap(k, depth, table.__getitem__, moduli, shrinking=True, name="faulty")
+
+
+@given(faulty_maps(), st.one_of(st.none(), st.integers(0, 6)))
+@settings(max_examples=150, deadline=None)
+def test_check_matches_three_scans(m, max_len):
+    cap = m.depth if max_len is None else min(max_len, m.depth)
+    assert m.check(max_len) == three_scan_check(m, cap)
