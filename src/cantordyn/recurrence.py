@@ -3,9 +3,10 @@ construction of a recurrent point.
 
 The gadget embeds binary tree-path search into recurrence over alphabet 3:
 paths of the source tree are fixed by the map, non-paths are pushed along in
-increasing lexicographic order, looping through the extra letter ``2``.  The
-brute-force oracle pads scan words with zeros out to the gadget's working
-depth; it needs that depth to be at least ``2·scan_depth + 1``, so a deviation
+increasing lexicographic order, looping through the extra letter ``2``; the
+tree is asked each 2-free word once.  The brute-force oracle walks the orbits
+of scan words padded with zeros to the working depth, all together, level by
+level; that depth must be at least ``2·scan_depth + 1``, so a deviation
 anywhere in the scanned prefix still has room to show a missing return.
 
 The recurrent-point construction computes nested cover stages ``(U_i, V_i,
@@ -43,21 +44,20 @@ def build_ternary_gadget(tree: ClosedClass) -> DynSystem:
     if tree.k != 2:
         raise ValueError("source tree must be over alphabet 2")
     depth = tree.depth
-    pi_memo: dict[str, str | None] = {"": None}
+    asked: dict[str, bool] = {}     # 2-free words asked: on the tree or not
 
     def shortest_off_tree(w: str) -> str | None:
-        n = len(w)
-        while w[:n] not in pi_memo:
-            n -= 1
-        res = pi_memo[w[:n]]
-        for m in range(n + 1, len(w) + 1):
+        two = w.find("2")
+        end = len(w) if two < 0 else two
+        for m in range(1, end + 1):
             u = w[:m]
-            # past the first letter every proper prefix is on the tree
-            if res is None and (u[-1] == "2" or not (
-                    tree.member_step(u) if m > 1 else tree.member(u))):
-                res = u
-            pi_memo[u] = res
-        return res
+            on = asked.get(u)
+            if on is None:
+                # past the first letter every proper prefix is on the tree
+                on = asked[u] = tree.member_step(u) if m > 1 else tree.member(u)
+            if not on:
+                return u
+        return None if two < 0 else w[:two + 1]
 
     def rule(w: str) -> str:
         if not w:
@@ -83,30 +83,30 @@ def build_ternary_gadget(tree: ClosedClass) -> DynSystem:
     return DynSystem(full_class(3, depth), gadget_map)
 
 
-def _padded_certifies(f: CodedMap, word: str, depth: int, c_max: int) -> bool:
-    """Whether the zero-padded word returns to ``pad↾c`` at a time ``n > c``
-    for every ``c ≤ c_max``.  A return to ``pad↾c_max`` at ``n > c_max``
-    serves every smaller ``c``, so the orbit is walked to the first one."""
-    pad = word + "0" * (depth - len(word))
-    target = pad[:c_max]
-    cur = pad
-    for n in range(1, depth + 1):
-        cur = f.apply(cur)
-        if n > c_max and cur.startswith(target):
-            return True
-        if not cur:
-            return False
-    return False
-
-
 def gadget_recurrent_set(tree: ClosedClass, scan_depth: int) -> set[str]:
-    """Depth-``scan_depth`` ternary words whose zero-padding admits a full
-    recurrence certificate in the gadget system (brute force)."""
+    """Depth-``scan_depth`` ternary words whose zero-padding returns to its
+    ``scan_depth``-prefix at a time past ``scan_depth``, which serves every
+    smaller precision (brute force).  Each level applies every distinct
+    iterate once, keyed to the uncertified words whose orbits reach it; the
+    map drops one letter per step, so the walk ends at length ``scan_depth``.
+    """
     if tree.depth < 2 * scan_depth + 1:
         raise ValueError("tree depth must be at least 2*scan_depth + 1 for the oracle")
     f = build_ternary_gadget(tree).map
-    return {w for w in all_words(3, scan_depth)
-            if _padded_certifies(f, w, tree.depth, scan_depth)}
+    pad = "0" * (tree.depth - scan_depth)
+    level = {w + pad: {w} for w in all_words(3, scan_depth)}
+    found: set[str] = set()
+    for n in range(1, tree.depth - scan_depth + 1):
+        nxt: dict[str, set[str]] = {}
+        for cur, words in level.items():
+            img = f.apply(cur)
+            if n > scan_depth and img[:scan_depth] in words:
+                words.remove(img[:scan_depth])
+                found.add(img[:scan_depth])
+            if words:
+                nxt.setdefault(img, set()).update(words)
+        level = nxt
+    return found
 
 
 def gadget_recurrent_equals_paths(tree: ClosedClass, scan_depth: int) -> bool:

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -103,17 +104,24 @@ class TestGadgetOracle:
         assert gadget_recurrent_equals_paths(tree, 8)
 
 
-@given(st.integers(1, 4), st.integers(0, 2), st.sampled_from(["cylinder", "forbidden"]),
-       st.data())
-@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 2),
+       st.sampled_from(["cylinder", "forbidden", "explicit"]), st.data())
+@settings(max_examples=90, deadline=None)
 def test_gadget_set_matches_per_precision_reference(scan, extra, kind, data):
-    """The one-precision lazy oracle finds the set that testing every
-    precision ``c ≤ scan`` on the fully built orbit finds."""
+    """The level walk finds the set that testing every precision ``c ≤ scan``
+    on each fully built orbit finds.  Explicit trees take the benchmark's
+    shape (kept scan words padded with zeros) plus stems that die before the
+    working depth, and may be empty; there the recurrent set need not be the
+    path set, so only the reference decides."""
     depth = 2 * scan + 1 + extra
+    level = sorted(all_words(2, scan))
     if kind == "cylinder":
-        level = sorted(all_words(2, scan))
         kept = data.draw(st.lists(st.sampled_from(level), min_size=1, unique=True))
         tree = cylinder_tree(kept, depth, level=scan)
+    elif kind == "explicit":
+        kept = data.draw(st.lists(st.sampled_from(level), unique=True))
+        stems = data.draw(st.lists(st.text(alphabet="01", max_size=depth - 1), max_size=3))
+        tree = explicit_class(2, depth, [w + "0" * (depth - scan) for w in kept] + stems)
     else:
         words = data.draw(st.lists(st.text(alphabet="01", min_size=2, max_size=scan + 1),
                                    max_size=3))
@@ -129,6 +137,113 @@ def test_gadget_set_matches_per_precision_reference(scan, extra, kind, data):
 
     want = {w for w in all_words(3, scan) if certifies(w)}
     assert gadget_recurrent_set(tree, scan) == want
+
+
+def _pi_memo_rule(tree):
+    """The gadget rule as first written: ``pi_memo`` maps every prefix seen
+    so far to the shortest off-tree prefix of it, filled by scanning back
+    from the full length."""
+    pi_memo = {"": None}
+
+    def shortest_off_tree(w):
+        n = len(w)
+        while w[:n] not in pi_memo:
+            n -= 1
+        res = pi_memo[w[:n]]
+        for m in range(n + 1, len(w) + 1):
+            u = w[:m]
+            if res is None and (u[-1] == "2" or not (
+                    tree.member_step(u) if m > 1 else tree.member(u))):
+                res = u
+            pi_memo[u] = res
+        return res
+
+    def rule(w):
+        if not w:
+            return ""
+        n = len(w) - 1
+        p = shortest_off_tree(w)
+        if p is None:
+            return w[:n]
+        if p == "2":
+            return "0" * n
+        if p[-1] == "2":
+            rho, branch = p[:-2], p[-2]
+        else:
+            rho, branch = p[:-1], p[-1]
+        succ = "1" if branch == "0" else "2"
+        return (rho + succ + "0" * n)[:n]
+
+    return rule
+
+
+@st.composite
+def small_trees(draw, depth=7):
+    """Binary trees at ``depth``: cylinder, forbidden-window or explicit,
+    including the empty node list and trees that die before ``depth``."""
+    kind = draw(st.sampled_from(["cylinder", "forbidden", "explicit"]))
+    if kind == "cylinder":
+        level = draw(st.integers(1, depth))
+        kept = draw(st.lists(st.text(alphabet="01", min_size=level, max_size=level),
+                             max_size=6))
+        return cylinder_tree(kept, depth, level=level)
+    if kind == "forbidden":
+        words = draw(st.lists(st.text(alphabet="01", min_size=1, max_size=4), max_size=4))
+        return forbidden_window_class(2, depth, words)
+    nodes = draw(st.lists(st.text(alphabet="01", max_size=depth), max_size=5))
+    return explicit_class(2, depth, nodes)
+
+
+@given(small_trees(), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_gadget_map_matches_pi_memo_rule(tree, seed):
+    """The asked-word memo gives the map the ``pi_memo`` rule gives, on
+    every ternary word up to depth 7, each side asking in its own random
+    order so that no memo state can matter."""
+    words = list(words_up_to(3, tree.depth))
+    ref = _pi_memo_rule(tree)
+    rnd = random.Random(seed)
+    rnd.shuffle(words)
+    want = {w: ref(w) for w in words}
+    f = build_ternary_gadget(tree).map
+    rnd.shuffle(words)
+    assert {w: f.apply(w) for w in words} == want
+
+
+def test_gadget_scan_work_guard(monkeypatch):
+    """A work guard in counts, not time: on a depth-17 tree shaped like the
+    benchmark pool, the scan-depth-8 oracle applies the map at most twice per
+    scan word (one orbit at a time took about 17 calls per word) and asks the
+    tree no word twice."""
+    scan, depth = 8, 17
+    kept = random.Random(8).sample(sorted(all_words(2, scan)), 2 ** scan // 4)
+    prefixes = {w[:i] for w in kept for i in range(scan + 1)}
+    asked = Counter()
+
+    class CountedTree(ClosedClass):
+        __slots__ = ()
+
+        def member(self, word, stage=None):
+            asked[word] += 1
+            return super().member(word, stage)
+
+        def member_step(self, word):
+            asked[word] += 1
+            return super().member_step(word)
+
+    tree = CountedTree(2, depth, lambda w: w[:scan] in prefixes and "1" not in w[scan:])
+    calls = 0
+    apply = CodedMap.apply
+
+    def counted_apply(m, word):
+        nonlocal calls
+        calls += 1
+        return apply(m, word)
+
+    monkeypatch.setattr(CodedMap, "apply", counted_apply)
+    assert gadget_recurrent_set(tree, scan) == set(kept)
+    assert calls <= 2 * 3 ** scan
+    assert max(asked.values()) == 1
 
 
 class TestConstructRecurrentPoint:

@@ -18,6 +18,10 @@ ROOT = Path(__file__).resolve().parent.parent
     # the tree-reduction oracle at the benchmark's scan depth
     pytest.param(["scripts/gadget_scan.py", "--scan-depth", "8", "--trees", "2"],
                  id="gadget_scan-scan-depth-8"),
+    # a speed guard: walking the 3^10 padded orbits one at a time takes seconds
+    # and 130 MiB
+    pytest.param(["scripts/gadget_scan.py", "--scan-depth", "10", "--trees", "2"],
+                 id="gadget_scan-scan-depth-10"),
     ["scripts/halting_roundtrip.py", "--bits", "3"],
     # a speed guard: these 8 mixed-stage bits take minutes when every rejected
     # removal is an exhaustive search over the product
