@@ -180,7 +180,10 @@ def parse_spec(text: str) -> SystemSpec:
     depth = _int(data["depth"], "depth")
     if depth < 1:
         raise SpecFormatError("depth must be positive", "depth")
-    return SystemSpec(alphabet, depth, _int(data.get("stage_horizon", 0), "stage_horizon"),
+    horizon = _int(data.get("stage_horizon", 0), "stage_horizon")
+    if horizon < 0:
+        raise SpecFormatError("stage horizon must be at least 0", "stage_horizon")
+    return SystemSpec(alphabet, depth, horizon,
                       dict(_object(data["tree"], "tree")), dict(_object(data["map"], "map")))
 
 
@@ -224,6 +227,8 @@ def load_sim(path: str) -> mnl.HaltingSim:
     with open(path, encoding="utf-8") as fh:
         data = _object(_json(fh.read()), "sim")
     horizon = _int(_field(data, "stage_horizon", "sim"), "sim.stage_horizon")
+    if horizon < 0:
+        raise SpecFormatError("stage horizon must be at least 0", "sim.stage_horizon")
     bits = []
     for i, n, t in _pairs(_field(data, "bits", "sim"), "sim.bits"):
         loc = f"sim.bits[{i}]"
@@ -264,8 +269,12 @@ def cmd_validate(args, spec: SystemSpec):
 
 
 def cmd_orbit(args, spec: SystemSpec):
+    word = args.point
+    if word is not None and len(_word(word, spec.alphabet, "--point")) > spec.depth:
+        raise SpecFormatError(f"longer than depth {spec.depth}", "--point")
     sys_ = spec.build()
-    word = args.point or find_member(sys_.space, sys_.depth)
+    if word is None:
+        word = find_member(sys_.space, sys_.depth)
     if word is None:
         raise CantorDynError("class has no full-depth member")
     steps = args.steps if args.steps is not None else sys_.depth
@@ -430,7 +439,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.set_defaults(fn=fn)
         return sp
 
-    command("validate", cmd_validate, "check the four system conditions")
+    command("validate", cmd_validate, "check the three system conditions "
+                                       "(map, nonempty, forward invariance)")
 
     sp = command("orbit", cmd_orbit, "orbit of a point approximation")
     sp.add_argument("--point", help="start word (default: least full-depth member)")

@@ -222,8 +222,7 @@ def build_bit_coder(n: int, sim: HaltingSim, depth: int) -> ClosedClass:
             return any(v.startswith(w) for v in orbit_words)
         return True
 
-    return ClosedClass(2, depth, lambda w: member_at(w, horizon),
-                       member_at=member_at, stage_horizon=horizon,
+    return ClosedClass(2, depth, lambda w: member_at(w, horizon), member_at=member_at,
                        name=f"bit{n}(t={'inf' if t is None else t})")
 
 
@@ -237,7 +236,8 @@ def product_system(parts: list[ClosedClass]) -> DynSystem:
     words of the node's ancestors, so they are members.  A search re-tests the
     same few column words at many nodes, and a column holds at most
     ``k^(depth+1)`` words, so the memo stays small; it lives in this product's
-    closure and is freed with it.  Staged membership is not memoized.
+    closure and is freed with it.  The product has no stage schedule:
+    ``member(w, stage)`` is ``member(w)``.
 
     ``space.columns`` holds one class per column whose child test is that
     column's memoized lookup, so listing column members asks each column word
@@ -266,12 +266,7 @@ def product_system(parts: list[ClosedClass]) -> DynSystem:
         n = (len(w) - 1) % cols
         return column(n, w[n::cols])
 
-    def member_at(w: str, s: int) -> bool:
-        return all(parts[n].member(w[n::cols], stage=s) for n in range(cols))
-
-    horizon = max(p.stage_horizon for p in parts)
-    space = ClosedClass(parts[0].k, depth, step, member_at=member_at,
-                        stage_horizon=horizon, name=f"product({cols})")
+    space = ClosedClass(parts[0].k, depth, step, name=f"product({cols})")
     space.columns = [ClosedClass(p.k, depth0, lambda c, n=n: column(n, c), name=p.name)
                      for n, p in enumerate(parts)]
     return DynSystem(space, builtin_map("column-shift", parts[0].k, depth, columns=cols))
@@ -293,7 +288,7 @@ def decode_bit(minimal_sys: DynSystem, n: int) -> bool:
         raise ValueError(f"column {n} out of range")
     if n + cols + 1 > minimal_sys.depth:
         raise UndecidedAtDepth(f"column {n} has fewer than 2 letters at depth {minimal_sys.depth}")
-    members = iter_members(minimal_sys.space, minimal_sys.depth, limit=_DECODE_MEMBER_LIMIT)
-    if len(members) == _DECODE_MEMBER_LIMIT:
+    members = iter_members(minimal_sys.space, minimal_sys.depth, limit=_DECODE_MEMBER_LIMIT + 1)
+    if len(members) > _DECODE_MEMBER_LIMIT:
         raise UndecidedAtDepth("class too wide to scan; not minimal at depth?")
     return any("01" in w[n::cols] for w in members)

@@ -77,9 +77,6 @@ def build_ternary_gadget(tree: ClosedClass) -> DynSystem:
 
     gadget_map = CodedMap(3, depth, rule, {l: l + 1 for l in range(depth)} | {0: 0},
                           shrinking=True, name="gadget")
-    malformed = tree.check(min(depth, 10))
-    if malformed:
-        raise ValueError(f"malformed tree: {malformed[0]}")
     return DynSystem(full_class(3, depth), gadget_map)
 
 

@@ -2,8 +2,8 @@
 
 A :class:`ClosedClass` is a depth-truncated tree of words given by its child
 test, optionally with a stagewise removal schedule (effectively-closed
-semantics: membership can only shrink as the stage grows).  A
-:class:`DynSystem` pairs a class with a normalized
+semantics: a removed node stays removed, so membership can only shrink as
+the stage grows).  A :class:`DynSystem` pairs a class with a normalized
 :class:`~cantordyn.maps.CodedMap` mapping class nodes into the class.
 
 Certificates store explicit witnesses so an independent verifier can re-check
@@ -18,7 +18,7 @@ from typing import Callable, Iterable
 
 from .errors import DepthExceeded
 from .maps import CodedMap
-from .words import all_words, is_prefix, periodic_word, rotations
+from .words import is_prefix, periodic_word, rotations
 
 
 class ClosedClass:
@@ -28,20 +28,20 @@ class ClosedClass:
     ``w[:-1]`` does; ``member`` runs it along every prefix, so the class is
     downward closed by construction, and the searches run it once per node.
     ``member_at`` decides membership at an earlier stage when a schedule is
-    present.  ``columns`` is ``None`` except on the space of a
-    :func:`~cantordyn.minimal.product_system`, where it holds one class per
-    column.
+    present.  A schedule is monotone by construction: a member at a later
+    stage is a member at every earlier stage.  ``columns`` is ``None`` except
+    on the space of a :func:`~cantordyn.minimal.product_system`, where it
+    holds one class per column.
     """
 
-    __slots__ = ("k", "depth", "name", "stage_horizon", "columns", "_member_at", "_step")
+    __slots__ = ("k", "depth", "name", "columns", "_member_at", "_step")
 
     def __init__(self, k: int, depth: int, step: Callable[[str], bool], *,
                  member_at: Callable[[str, int], bool] | None = None,
-                 stage_horizon: int = 0, name: str = "class"):
+                 name: str = "class"):
         self.k = k
         self.depth = depth
         self.name = name
-        self.stage_horizon = stage_horizon
         self.columns: list[ClosedClass] | None = None
         self._member_at = member_at
         self._step = step
@@ -60,22 +60,6 @@ class ClosedClass:
     def member_step(self, word: str) -> bool:
         """Membership assuming all proper prefixes are members."""
         return self._step(word)
-
-    def check(self, max_len: int | None = None) -> list[str]:
-        """Schedule monotonicity, exhaustively to a cap."""
-        cap = self.depth if max_len is None else min(max_len, self.depth)
-        bad: list[str] = []
-        if self._member_at is not None:
-            for n in range(cap + 1):
-                for w in all_words(self.k, n):
-                    prev = True
-                    for s in range(self.stage_horizon + 1):
-                        cur = self._member_at(w, s)
-                        if cur and not prev:
-                            bad.append(f"schedule not monotone at {w!r}, stage {s}")
-                            break
-                        prev = cur
-        return bad
 
 
 def full_class(k: int, depth: int) -> ClosedClass:
@@ -112,8 +96,7 @@ def stagewise_class(k: int, depth: int, removals: Iterable[tuple[int, str]],
     def member_at(w: str, s: int) -> bool:
         return not any(st <= s and is_prefix(node, w) for st, node in sched)
 
-    return ClosedClass(k, depth, lambda w: w not in removed,
-                       member_at=member_at, stage_horizon=stage_horizon,
+    return ClosedClass(k, depth, lambda w: w not in removed, member_at=member_at,
                        name="stagewise")
 
 
@@ -245,7 +228,8 @@ class Report:
 
 
 def validate_system(sys_: DynSystem, max_len: int | None = None) -> Report:
-    """Check the four system conditions at depth, exhaustively up to a cap.
+    """Check the three system conditions at depth (map, nonempty and forward
+    invariance), exhaustively up to a cap.
 
     The cap defaults to ``min(depth, 12)``; beyond it the class is too wide to
     scan and rule-level construction is trusted.  Forward invariance is tested
@@ -261,8 +245,6 @@ def validate_system(sys_: DynSystem, max_len: int | None = None) -> Report:
     space, f = sys_.space, sys_.map
     cap = min(sys_.depth, 12) if max_len is None else min(max_len, sys_.depth)
     rep = Report()
-    for msg in space.check(cap):
-        rep.add("tree", "", msg)
     map_bad = f.check(cap)
     for msg in map_bad:
         rep.add("map", "", msg)

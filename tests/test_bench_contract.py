@@ -7,6 +7,7 @@ traced benchmark run.
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
@@ -45,3 +46,7 @@ def test_hot_methods_exist():
     assert callable(vars(CodedMap)["apply"])
     assert callable(vars(ClosedClass)["member"])
     assert callable(vars(ClosedClass)["member_step"])
+    # the tracer calls ``member(c, word, stage)``: stage is the third positional
+    params = list(inspect.signature(ClosedClass.member).parameters.values())
+    assert [p.name for p in params[:3]] == ["self", "word", "stage"]
+    assert params[2].kind is inspect.Parameter.POSITIONAL_OR_KEYWORD

@@ -131,6 +131,11 @@ class TestCommands:
         assert rep["outcome"]["orbit"] == ["0101010101010101", "101010101010101",
                                            "01010101010101"]
 
+    def test_orbit_empty_point_starts_at_root(self, golden_spec, tmp_path):
+        code, rep = run_to_json(["orbit", golden_spec, "--point", "", "--steps", "2"],
+                                tmp_path, "o.json")
+        assert code == 0 and rep["outcome"]["orbit"] == ["", "", ""]
+
     def test_recurrent(self, golden_spec, tmp_path):
         code, rep = run_to_json(["recurrent", golden_spec, "--stages", "3"],
                                 tmp_path, "r.json")
@@ -262,17 +267,28 @@ class TestCommands:
         (dict(GOLDEN, tree={"kind": "forbidden_words", "words": "11"}), "tree.words"),
         (dict(GOLDEN, tree={"kind": "explicit_nodes", "nodes": [0]}), "tree.nodes[0]"),
         (dict(GOLDEN, tree={"kind": "forbidden_words", "words": ["11", ""]}), "tree.words[1]"),
+        (dict(GOLDEN, stage_horizon=-1, tree={"kind": "stagewise", "removals": [[0, "11"]]}),
+         "stage_horizon"),
     ], ids=["no-words", "no-columns", "alphabet-x", "letter-2", "no-removals",
             "stage-x", "no-entries", "table-partial", "no-base", "exponent-x",
             "exponent-missing", "exponent-range", "bound-zero", "j-short", "j-long",
             "j-string", "j-not-list", "entry-short", "removal-short", "spec-not-object",
             "tree-not-object", "map-not-object", "base-not-object", "words-number",
-            "words-string", "node-number", "empty-forbidden-word"])
+            "words-string", "node-number", "empty-forbidden-word", "horizon-negative"])
     def test_malformed_spec_exit_code(self, tmp_path, capsys, spec, location):
         p = tmp_path / "bad.json"
         p.write_text(json.dumps(spec))
         assert main(["validate", str(p)]) == 2
         assert f"error: {location}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("point, message", [
+        ("0a", "letter 'a' not in alphabet of size 2"),
+        ("0120", "letter '2' not in alphabet of size 2"),
+        ("0" * 17, "longer than depth 16"),
+    ], ids=["letter-a", "letter-2", "beyond-depth"])
+    def test_malformed_point_exit_code(self, golden_spec, capsys, point, message):
+        assert main(["orbit", golden_spec, "--point", point]) == 2
+        assert f"error: --point: {message}" in capsys.readouterr().err
 
     def test_deeply_nested_json_exit_code(self, tmp_path, capsys):
         p = tmp_path / "deep.json"
@@ -304,8 +320,10 @@ class TestCommands:
         ('{"stage_horizon": 4, "bits": [[1, 2], [0, null]]}', "sim.bits[0]"),
         ('{"stage_horizon": 4, "bits": [[5, null]]}', "sim.bits[0]"),
         ('{"stage_horizon": 4, "bits": [[-1, 2], [0, null]]}', "sim.bits[0]"),
+        ('{"stage_horizon": -1, "bits": [[0, null]]}', "sim.stage_horizon"),
     ], ids=["bit-short", "bit-long", "stage-above-horizon", "stage-zero", "not-json",
-            "not-object", "index-twice", "index-swapped", "index-beyond", "index-negative"])
+            "not-object", "index-twice", "index-swapped", "index-beyond", "index-negative",
+            "horizon-negative"])
     def test_malformed_sim_file(self, tmp_path, capsys, text, location):
         p = tmp_path / "sim.json"
         p.write_text(text)

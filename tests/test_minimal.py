@@ -95,7 +95,6 @@ class TestBitCoders:
         expect = sorted({"0" * a + "1" * (8 - a) for a in range(9)} |
                         {"1" * a + "0" * (8 - a) for a in range(9)})
         assert members == expect
-        assert cls.check(6) == []
 
     def test_halting_gives_orbit(self):
         sim = HaltingSim(((0, 2),), stage_horizon=8)
@@ -114,7 +113,6 @@ class TestBitCoders:
         assert cls.member("11100000", stage=2)
         assert not cls.member("11100000", stage=3)
         assert cls.member(periodic_word("000111", 8), stage=8)
-        assert cls.check(6) == []
 
     def test_stage_bounds_enforced(self):
         with pytest.raises(ValueError):
@@ -146,6 +144,18 @@ class TestProductsAndDecode:
         prod = product_system(parts)
         with pytest.raises(UndecidedAtDepth):
             decode_bit(DynSystem(prod.space, prod.map), 1)
+
+    def test_decode_lists_exactly_the_limit(self):
+        # the full 2-class at depth 12 under the 2-column shift has exactly
+        # 4096 members, the scan limit: every member is listed, so it decides
+        prod = product_system([full_class(2, 6), full_class(2, 6)])
+        assert len(iter_members(prod.space, prod.depth, limit=4097)) == 4096
+        assert decode_bit(prod, 0) is True and decode_bit(prod, 1) is True
+
+    def test_decode_wider_than_the_limit(self):
+        prod = product_system([full_class(2, 7), full_class(2, 7)])
+        with pytest.raises(UndecidedAtDepth, match="too wide"):
+            decode_bit(prod, 0)
 
     def test_column_mismatch(self):
         a = explicit_class(2, 4, ["0000"])
@@ -206,9 +216,7 @@ def _counted(part, calls):
         calls[w] += 1
         return part.member(w)
 
-    return ClosedClass(part.k, part.depth, member,
-                       member_at=lambda w, s: part.member(w, stage=s),
-                       stage_horizon=part.stage_horizon, name=part.name)
+    return ClosedClass(part.k, part.depth, member, name=part.name)
 
 
 def test_product_asks_each_column_word_once():

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from cantordyn.errors import DepthExceeded
 from cantordyn.maps import CodedMap, builtin_map, random_normalized_map
-from cantordyn.minimal import product_system
+from cantordyn.minimal import HaltingSim, build_bit_coder, product_system
 from cantordyn.search import (OrbitAvoidance, avoidance_class, death_length,
                               find_member, iter_members, live_nodes)
 from cantordyn.systems import (APCert, APRow, DynSystem, PointApprox, RecCert,
@@ -21,19 +21,16 @@ class TestClosedClasses:
     def test_full(self):
         c = full_class(2, 6)
         assert c.member("") and c.member("010101")
-        assert c.check() == []
 
     def test_forbidden_windows(self):
         gm = forbidden_window_class(2, 8, ["11"])
         assert gm.member("01010010")
         assert not gm.member("0110")
-        assert gm.check() == []
 
     def test_explicit_prefix_closure(self):
         c = explicit_class(2, 4, ["0101"])
         assert c.member("01") and c.member("0101")
         assert not c.member("1")
-        assert c.check() == []
 
     def test_stagewise_monotone(self):
         c = stagewise_class(2, 6, [(2, "1"), (4, "01")], stage_horizon=5)
@@ -41,7 +38,6 @@ class TestClosedClasses:
         assert not c.member("1", stage=2)
         assert c.member("01", stage=3)
         assert not c.member("010101")
-        assert c.check() == []
 
     def test_orbit_class(self):
         c = orbit_class("01", 2, 8)
@@ -235,6 +231,13 @@ def base_classes(draw, depth=MEMBER_DEPTH):
     if kind == "nodes":
         nodes = draw(st.lists(st.text(alphabet="01", max_size=depth), max_size=4))
         return explicit_class(2, depth, nodes), lambda w: any(v.startswith(w) for v in nodes), None
+    return draw(stagewise_classes(depth))
+
+
+@st.composite
+def stagewise_classes(draw, depth=MEMBER_DEPTH):
+    """A stagewise class at ``depth`` with horizon ``HORIZON``, as drawn by
+    :func:`base_classes`."""
     removals = draw(st.lists(st.tuples(st.integers(0, HORIZON + 1), short_words), max_size=4))
 
     def ref_at(w, s):
@@ -242,6 +245,30 @@ def base_classes(draw, depth=MEMBER_DEPTH):
 
     return (stagewise_class(2, depth, removals, HORIZON),
             lambda w: ref_at(w, HORIZON), ref_at)
+
+
+@st.composite
+def scheduled_classes(draw):
+    """A stagewise class, or a bit coder at depth 1–8 entering at any stage
+    ``t`` of its horizon 1–8, or never; with its horizon."""
+    if draw(st.booleans()):
+        return draw(stagewise_classes())[0], HORIZON
+    horizon = draw(st.integers(1, 8))
+    t = draw(st.one_of(st.none(), st.integers(1, horizon)))
+    sim = HaltingSim(((0, t),), stage_horizon=horizon)
+    return build_bit_coder(0, sim, draw(st.integers(1, 8))), horizon
+
+
+@given(scheduled_classes())
+@settings(max_examples=100, deadline=None)
+def test_schedule_is_monotone(case):
+    """A member at stage ``s + 1`` is a member at stage ``s``, and at the
+    horizon staged membership is membership."""
+    cls, horizon = case
+    for w in words_up_to(2, cls.depth):
+        at = [cls.member(w, stage=s) for s in range(horizon + 1)]
+        assert at == sorted(at, reverse=True), (w, at)
+        assert at[-1] == cls.member(w), w
 
 
 @st.composite
@@ -301,8 +328,6 @@ def listed_validate(sys_, cap):
     """``validate_system`` with forward invariance tested the listed way: the
     members up to the cap sorted by length, each image by ``member``."""
     rep = Report()
-    for msg in sys_.space.check(cap):
-        rep.add("tree", "", msg)
     for msg in sys_.map.check(cap):
         rep.add("map", "", msg)
     if not sys_.space.member(""):
