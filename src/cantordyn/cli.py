@@ -460,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = command("dodge", cmd_dodge, "periodic-orbit dodging construction")
     sp.add_argument("--max-period", type=_COUNT, default=4)
-    sp.add_argument("--sigma-stages", type=_COUNT, default=4)
+    sp.add_argument("--sigma-stages", type=_POSITIVE, default=4)
 
     sp = command("meet-avoid", cmd_meet_avoid, "meet-or-avoid refinement chain")
     sp.add_argument("--requests", required=True, help="requests file (JSON)")

@@ -28,7 +28,7 @@ from .maps import CodedMap
 from .search import find_member, iter_members, live_nodes
 from .systems import (ClosedClass, DynSystem, PointApprox, RecCert, Report, cylinder_class,
                       full_class)
-from .words import all_words
+from .words import all_words, letters
 
 _STAGE_ENUM_CAP = 18          # a covering scan lists at most 2^18 members, of length ≤ 18
 _STORE_NODE_BUDGET = 2_000_000
@@ -205,32 +205,69 @@ def _store_stage(state: _StageState, s: int, k: int) -> set[str]:
     ``m`` is ``s·step + p``; when the map records no such modulus the cap is
     the working depth.
 
-    The walk searches the class of words with no stored proper prefix, so it
-    never descends below a word it has stored.  It visits a word right after
-    its parent, so having a proper prefix in the previous store is carried
-    down the path."""
-    need = state.precision
+    The walk's class keeps a word when its parent is not stored and it can
+    still gain a proper prefix in the previous store: the parent has one, is
+    in that store, or the word is a prefix of a word in it.  Every stored word
+    has such a prefix, so the walk never descends below a stored word nor
+    into a subtree with nothing to store, and the node budget counts only
+    words that can reach the previous store.  The walk visits a word right
+    after its parent, so having such a prefix is carried down the path, and
+    on a suffix map so is returning by time ``s``: extending a word to length
+    ``L`` adds only the return time ``(L - p)/step``, when that is an integer
+    in ``[p, s]``, and one comparison decides it."""
+    p = state.precision
+    need = p
     try:
         for _ in range(s):
             need = state.f.modulus(need)
     except ModulusExhausted:
         need = state.depth
-    prev_max = max((len(w) for w in state.prev_store), default=0)
+    prev = state.prev_store
+    prev_max = max((len(w) for w in prev), default=0)
     cap = min(max(need, prev_max + 1, 1), state.depth)
+    reach = {w[:t] for w in prev for t in range(len(w) + 1)}
     stored: set[str] = set()
-    walk = ClosedClass(k, state.depth, lambda w: w[:-1] not in stored,
-                       name=f"store({state.i})")
+    anc = [False]       # anc[L]: the path's word of length L has a proper prefix in prev
+
+    def keep(w: str) -> bool:
+        if not w:
+            return True
+        u = w[:-1]
+        if u in stored:
+            return False
+        anc[len(w):] = [anc[len(u)] or u in prev]
+        return anc[-1] or w in reach
+
+    walk = ClosedClass(k, state.depth, keep, name=f"store({state.i})")
+    step = state.f.suffix_step
+    ret = [p == 0]      # ret[L], on a suffix map: the path's word of length L returns by s
     budget = _STORE_NODE_BUDGET
-    anc: list[bool] = []
     for w in live_nodes(walk, cap):
         budget -= 1
         if budget <= 0:
             raise HorizonExhausted(f"stage {state.i}: store enumeration budget exceeded")
         L = len(w)
-        anc[L:] = [L > 0 and (anc[L - 1] or w[:-1] in state.prev_store)]
-        if anc[L] and state.returns_within(w, s):
+        if step and L:
+            n, r = divmod(L - p, step)
+            ret[L:] = [ret[L - 1] or (not r and p <= n <= s and w.endswith(w[:p]))]
+        if anc[L] and (ret[L] if step else state.returns_within(w, s)):
             stored.add(w)
     return stored
+
+
+def _next_level(space: ClosedClass, level: list[str], limit: int) -> list[str]:
+    """The members one letter longer than the words of ``level``, a
+    lexicographic list of members of one length: lexicographic too, and at
+    most ``limit`` of them."""
+    step, alpha = space.member_step, letters(space.k)
+    out: list[str] = []
+    for w in level:
+        for a in alpha:
+            if step(w + a):
+                out.append(w + a)
+                if len(out) >= limit:
+                    return out
+    return out
 
 
 def construct_recurrent_point(sys_: DynSystem, stages: int = 6,
@@ -252,6 +289,9 @@ def construct_recurrent_point(sys_: DynSystem, stages: int = 6,
         raise EmptyClassError(f"{sys_.space.name} has no member of length {N}")
 
     stage_records = [CoverStage(0, 0, ("",), ("",))]
+    # levels[s]: the members of length s in lexicographic order, listed once;
+    # a scan never skips a length, so no level is built from a cut-off one
+    levels = [[""]]
     prev_store = frozenset([""])
     for i in range(1, stages + 1):
         state = _StageState(f, N, i, prev_store)
@@ -260,7 +300,9 @@ def construct_recurrent_point(sys_: DynSystem, stages: int = 6,
             if s > _STAGE_ENUM_CAP:
                 raise HorizonExhausted(f"stage {i}: covering scan beyond 2^{s}",
                                        partial=stage_records)
-            V = tuple(iter_members(sys_.space, s, limit=2 ** _STAGE_ENUM_CAP + 1))
+            while len(levels) <= s:
+                levels.append(_next_level(sys_.space, levels[-1], 2 ** _STAGE_ENUM_CAP + 1))
+            V = levels[s]
             if len(V) > 2 ** _STAGE_ENUM_CAP:
                 raise HorizonExhausted(f"stage {i}: more than 2^{_STAGE_ENUM_CAP} members "
                                        f"of length {s}", partial=stage_records)
@@ -274,7 +316,7 @@ def construct_recurrent_point(sys_: DynSystem, stages: int = 6,
         if not store:
             raise HorizonExhausted(f"stage {i}: no qualifying words at bound {s_found}",
                                    partial=stage_records)
-        stage_records.append(CoverStage(i, s_found, tuple(sorted(store)), V))
+        stage_records.append(CoverStage(i, s_found, tuple(sorted(store)), tuple(V)))
         prev_store = frozenset(store)
 
     point_word = find_member(cylinder_class(sys_.space, prev_store, "final-stage"), N)

@@ -428,6 +428,7 @@ class TestParser:
         ["decode-halting", "--sim", "sim.json", "--coldepth", "-3"],
         ["dodge", "spec.json", "--max-period", "-1"],
         ["dodge", "spec.json", "--sigma-stages", "-1"],
+        ["dodge", "spec.json", "--sigma-stages", "0"],
         ["ap-point", "spec.json", "--cmax", "-1"],
         ["reduce-tree", "spec.json", "--scan-depth", "-1"],
     ], ids=lambda argv: f"{argv[0]}{argv[-2]}={argv[-1]}")

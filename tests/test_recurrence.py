@@ -8,14 +8,14 @@ from hypothesis import strategies as st
 from cantordyn import recurrence
 from cantordyn.errors import HorizonExhausted
 from cantordyn.maps import CodedMap, builtin_map, random_normalized_map
-from cantordyn.recurrence import (_covered, _StageState, _store_stage, audit_cover_stages,
-                                  build_ternary_gadget, construct_recurrent_point,
-                                  gadget_recurrent_equals_paths,
+from cantordyn.recurrence import (_covered, _next_level, _StageState, _store_stage,
+                                  audit_cover_stages, build_ternary_gadget,
+                                  construct_recurrent_point, gadget_recurrent_equals_paths,
                                   gadget_recurrent_set)
 from cantordyn.refinement import PiecewiseIterate
 from cantordyn.search import iter_members
 from cantordyn.systems import (ClosedClass, DynSystem, explicit_class,
-                               full_class, forbidden_window_class,
+                               full_class, forbidden_window_class, stagewise_class,
                                validate_system, verify_recurrence)
 from cantordyn.words import all_words, words_up_to
 
@@ -281,18 +281,22 @@ class TestConstructRecurrentPoint:
 
     def test_covering_scan_stops_at_member_cap(self, monkeypatch):
         # the full 3-shift has 3^s members of length s: the covering scan must
-        # stop once it lists more than 2^18 of them (s = 12), long before s > 18
-        real = recurrence.iter_members
+        # stop once it lists more than 2^18 of them (s = 12), long before s > 18,
+        # and no level it builds may hold more than 2^18 + 1
+        real = recurrence._next_level
+        built = []
 
-        def bounded(space, length, limit=None):
-            out = real(space, length, limit)
-            assert len(out) <= 2 ** 18 + 1, (length, len(out))
+        def bounded(space, level, limit):
+            out = real(space, level, limit)
+            built.append(len(out))
+            assert len(out) <= 2 ** 18 + 1, (len(level), len(out))
             return out
 
-        monkeypatch.setattr(recurrence, "iter_members", bounded)
+        monkeypatch.setattr(recurrence, "_next_level", bounded)
         sys_ = DynSystem(full_class(3, 16), builtin_map("left-shift", 3, 16))
         with pytest.raises(HorizonExhausted, match=r"more than 2\^18 members of length 12"):
             construct_recurrent_point(sys_, stages=3)
+        assert built[-1] == 2 ** 18 + 1
 
     def test_deep_non_suffix_store_runs_out_of_budget(self, monkeypatch):
         # with no moduli past 0 the store walk goes to the working depth; an
@@ -344,6 +348,49 @@ class TestConstructRecurrentPoint:
             (1, 1), (2, 2), (6, 5), (62, 34), (1570, 377)]
         assert calls["ret"] > 0 and calls["apply_in_ret"] == 0
 
+    def test_cover_stage_work_guard(self, monkeypatch):
+        # a work guard that counts instead of timing, on the golden mean at
+        # depth 24: the stage-4 store walk visits only words that can still
+        # reach the stage-3 store (30,327 when it visited every word with no
+        # stored prefix), reads suffix-map return times along its path with no
+        # _StageState.ret call, and the covering scan lists each member length
+        # once, with no iter_members call (20 when it listed each candidate s)
+        walks, calls, in_store = [], Counter(), [False]
+        real_live, real_ret, real_store = (recurrence.live_nodes, _StageState.ret,
+                                           recurrence._store_stage)
+
+        def live(space, cap):
+            walks.append(0)
+            for w in real_live(space, cap):
+                walks[-1] += 1
+                yield w
+
+        def ret(self, w):
+            calls["store ret" if in_store[0] else "ret"] += 1
+            return real_ret(self, w)
+
+        def store(*args):
+            in_store[0] = True
+            try:
+                return real_store(*args)
+            finally:
+                in_store[0] = False
+
+        def members(*args, **kwargs):
+            calls["iter_members"] += 1
+            return iter_members(*args, **kwargs)
+
+        monkeypatch.setattr(recurrence, "live_nodes", live)
+        monkeypatch.setattr(recurrence, "_store_stage", store)
+        monkeypatch.setattr(recurrence, "iter_members", members)
+        monkeypatch.setattr(_StageState, "ret", ret)
+        sys_ = DynSystem(forbidden_window_class(2, 24, ["11"]), builtin_map("left-shift", 2, 24))
+        _, _, stages = construct_recurrent_point(sys_, stages=4)
+        assert [(len(st.U), len(st.V)) for st in stages] == [
+            (1, 1), (2, 2), (6, 5), (62, 34), (1570, 377)]
+        assert len(walks) == 4 and walks[-1] <= 13_000
+        assert calls["store ret"] == 0 and calls["iter_members"] == 0
+
 
 STORE_DEPTH = 7
 
@@ -391,6 +438,76 @@ def _qualifies_ref(f, N, p, s, prev, w):
         return False
     return p == 0 or (len(w) > p and any(f.iterate(w, n).startswith(w[:p])
                                          for n in range(p, min(s, N) + 1)))
+
+
+PRUNE_DEPTH = 9
+
+
+@st.composite
+def prefix_free_stores(draw):
+    """Nonempty prefix-free sets of binary words of at most 5 letters."""
+    words = draw(st.sets(st.text(alphabet="01", max_size=5), min_size=1, max_size=6))
+    return {w for w in words if not any(u != w and w.startswith(u) for u in words)}
+
+
+@given(st.sampled_from(["shift", "column2", "column3", "piecewise"]), st.integers(1, 4),
+       st.integers(1, PRUNE_DEPTH), prefix_free_stores(), st.data())
+@settings(max_examples=120, deadline=None)
+def test_pruned_store_is_minimal_qualifying_words(kind, i, s, prev, data):
+    """With previous stores deep enough for the walk to prune subtrees that
+    cannot reach them, the stored words are still the minimal qualifying
+    words up to the working depth.  ``column-shift(3)`` adds a return time
+    only at every third length, so most one-letter extensions add none."""
+    N, p = PRUNE_DEPTH, i - 1
+    if kind == "shift":
+        f = builtin_map("left-shift", 2, N)
+    elif kind.startswith("column"):
+        f = builtin_map("column-shift", 2, N, columns=int(kind[-1]))
+    else:
+        exps = data.draw(st.lists(st.integers(1, 3), min_size=2, max_size=2))
+        f = PiecewiseIterate(1, 3, builtin_map("left-shift", 2, N),
+                             dict(zip("01", exps)).__getitem__).induced()
+    memo = {}
+
+    def qualifies(w):
+        if w not in memo:
+            memo[w] = _qualifies_ref(f, N, p, s, prev, w)
+        return memo[w]
+
+    want = {w for w in words_up_to(2, N)
+            if qualifies(w) and not any(qualifies(w[:t]) for t in range(len(w)))}
+    assert _store_stage(_StageState(f, N, i, frozenset(prev)), s, 2) == want
+
+
+@st.composite
+def member_classes(draw, depth=7):
+    """Forbidden-window, explicit and stagewise classes over alphabet 2 or 3,
+    including classes that die before ``depth`` or at the root."""
+    k = draw(st.sampled_from([2, 3]))
+    alpha = "012"[:k]
+    kind = draw(st.sampled_from(["forbidden", "explicit", "stagewise"]))
+    if kind == "forbidden":
+        words = draw(st.lists(st.text(alphabet=alpha, min_size=1, max_size=3), max_size=4))
+        return forbidden_window_class(k, depth, words)
+    if kind == "explicit":
+        nodes = draw(st.lists(st.text(alphabet=alpha, max_size=depth), max_size=6))
+        return explicit_class(k, depth, nodes)
+    removals = draw(st.lists(st.tuples(st.integers(0, 3), st.text(alphabet=alpha, max_size=4)),
+                             max_size=5))
+    return stagewise_class(k, depth, removals, draw(st.integers(0, 3)))
+
+
+@given(member_classes(), st.integers(1, 40))
+@settings(max_examples=100, deadline=None)
+def test_member_levels_match_iter_members(space, limit):
+    """Extending the members of one length letter by letter lists the next
+    length as the search does, in the same order, and stops at the same
+    ``limit``."""
+    level = [""] if space.member_step("") else []
+    for s in range(1, space.depth + 1):
+        assert _next_level(space, level, limit) == iter_members(space, s, limit=limit)
+        level = _next_level(space, level, space.k ** s + 1)
+        assert level == iter_members(space, s)
 
 
 @given(store_maps(), st.integers(1, 3), st.integers(1, STORE_DEPTH),
