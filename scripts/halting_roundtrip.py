@@ -10,9 +10,8 @@ import time
 
 sys.path.insert(0, "src")
 
-from cantordyn.minimal import (HaltingSim, build_bit_coder, decode_bit,
+from cantordyn.minimal import (HaltingSim, build_bit_coder, decode_bit, decode_members,
                                minimal_subsystem, product_system)
-from cantordyn.search import iter_members
 
 
 def main():
@@ -36,13 +35,13 @@ def main():
     print(f"product depth {prod.depth}, pruned {len(chain.pruned_words())} cylinders, "
           f"{time.monotonic() - t0:.1f}s")
 
-    members = iter_members(msys.space, msys.depth, limit=4)
-    for w in members:
+    members = decode_members(msys)   # listed once, read for every bit
+    for w in members[:4]:
         print("member columns:", " | ".join(w[n::len(parts)] for n in range(len(parts))))
 
     exact = True
     for n, t in bits:
-        got = decode_bit(msys, n)
+        got = decode_bit(msys, n, members)
         want = t is not None
         exact = exact and got == want
         print(f"bit {n}: decoded={got} simulated={want}")

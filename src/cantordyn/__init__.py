@@ -21,7 +21,7 @@ from .recurrence import (CoverStage, audit_cover_stages,
                          gadget_recurrent_equals_paths, gadget_recurrent_set)
 from .minimal import (HaltingSim, PeriodicOrbitClass, RemovalChain,
                       ap_bound_from_minimal, build_bit_coder, decode_bit,
-                      minimal_subsystem, product_system, s_orbit)
+                      decode_members, minimal_subsystem, product_system, s_orbit)
 from .avoidance import (DodgeOutcome, SigmaSequence, build_dodging_class,
                         enumerate_periodic_points, verify_not_ap)
 from .refinement import (OpenRequest, Phi1Predicate, PiecewiseIterate,

@@ -13,6 +13,7 @@ checkers, 1 when one does not, and 2 on malformed input.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -308,6 +309,9 @@ def cmd_minimal(args, spec: SystemSpec):
 
 def cmd_decode_halting(args, spec: None):
     sim = load_sim(args.sim)
+    if sim.bits and args.coldepth < 2:
+        # decode_bit reads two rows of a column: n + cols + 1 > cols·1 for every n
+        raise SpecFormatError("must be at least 2 to decode a bit", "--coldepth")
     parts = [mnl.build_bit_coder(n, sim, args.coldepth) for n, _ in sim.bits]
     enum_len = len(parts) + 2 if args.enum_len is None else args.enum_len
     inputs = {"sim": {"bits": [[n, t] for n, t in sim.bits],
@@ -316,10 +320,11 @@ def cmd_decode_halting(args, spec: None):
     if not parts:
         return inputs, {"bits": {}, "pruned": []}, {}, True
     msys, chain = mnl.minimal_subsystem(mnl.product_system(parts), enum_len=enum_len)
+    members = mnl.decode_members(msys)
     decoded = {}
     ok = True
     for n, t in sim.bits:
-        got = mnl.decode_bit(msys, n)
+        got = mnl.decode_bit(msys, n, members)
         decoded[str(n)] = {"decoded": got, "simulated": t is not None}
         ok = ok and (got == (t is not None))
     return inputs, {"bits": decoded, "pruned": chain.pruned_words()}, {}, ok
@@ -423,7 +428,10 @@ def _at_least(least: int):
 _COUNT, _POSITIVE = _at_least(0), _at_least(1)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, and each call gets a fresh namespace."""
     p = argparse.ArgumentParser(prog="cantordyn",
                                 description="finite-depth Cantor-space dynamics "
                                             "with machine-checkable certificates")

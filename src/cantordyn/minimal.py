@@ -4,7 +4,8 @@ The greedy chain asks, in length-lexicographic order, whether each basic
 cylinder can be removed: the candidate class keeps only words none of whose
 iterates (up to their own length) enter the cylinder, and the removal is
 adopted exactly when that class still has a full-depth member.  Cylinders
-extending an adopted one are skipped: their removal is already implied.
+extending an adopted one are never generated: their removal is already
+implied, and the chain rebuilds those entries only when they are read.
 
 The bit coders realize the stagewise classes of the halting coding: until the
 simulated entry stage the class is the switch tree (prefixes of ``0^a 1^ω``
@@ -21,14 +22,13 @@ from .maps import builtin_map
 from .search import (OrbitAvoidance, avoidance_class, death_length,
                      find_member, iter_members)
 from .systems import ClosedClass, DynSystem, orbit_class
-from .words import is_prefix, periodic_word, rotations, words_up_to
+from .words import letters, periodic_word, rotations, words_up_to
 
-_DECODE_MEMBER_LIMIT = 4096   # decode_bit: a wider class is not minimal at depth
+_DECODE_MEMBER_LIMIT = 4096   # decode_members: a wider class is not minimal at depth
 
 
 @dataclass(frozen=True)
 class RemovalStage:
-    index: int
     word: str
     pruned: bool
     vacuous: bool
@@ -37,10 +37,25 @@ class RemovalStage:
 
 @dataclass
 class RemovalChain:
-    stages: list[RemovalStage] = field(default_factory=list)
+    """The decisions of the greedy chain over the words of length 1..``enum_len``."""
+
+    k: int
+    enum_len: int
+    decisions: list[RemovalStage] = field(default_factory=list)
+
+    @property
+    def stages(self) -> list[RemovalStage]:
+        """Every entry in length-lexicographic order: an implied one leaves the
+        class as it was (the first word, ``0``, is always decided)."""
+        decided = {st.word: st for st in self.decisions}
+        out: list[RemovalStage] = []
+        for word in words_up_to(self.k, self.enum_len):
+            if word:
+                out.append(decided.get(word) or RemovalStage(word, True, True, out[-1].class_after))
+        return out
 
     def pruned_words(self) -> list[str]:
-        return [st.word for st in self.stages if st.pruned and not st.vacuous]
+        return [st.word for st in self.decisions if st.pruned]
 
     def to_json(self):
         return [{"word": st.word, "pruned": st.pruned, "vacuous": st.vacuous}
@@ -54,6 +69,10 @@ def minimal_subsystem(sys_: DynSystem, enum_len: int = 4) -> tuple[DynSystem, Re
     (length-lexicographic) is part of the reproducibility contract: a
     different order can land on a different, equally minimal subsystem.
 
+    The candidates of length ``L + 1`` are the one-letter extensions of the
+    words rejected at length ``L``: the extensions of an adopted or implied
+    word are implied, so no implied removal is ever visited.
+
     Only the nonemptiness of each candidate matters, so on a
     :func:`product_system` under its own column shift with ``enum_len`` at
     most two rows (``2·cols``), :func:`_columns_avoid` decides it over the
@@ -65,7 +84,7 @@ def minimal_subsystem(sys_: DynSystem, enum_len: int = 4) -> tuple[DynSystem, Re
     current = sys_.space
     columns = sys_.space.columns
     adopted: list[str] = []
-    chain = RemovalChain()
+    chain = RemovalChain(sys_.k, enum_len)
 
     def candidate(words: list[str]) -> ClosedClass:
         return avoidance_class(sys_.space, OrbitAvoidance(f, words),
@@ -80,21 +99,19 @@ def minimal_subsystem(sys_: DynSystem, enum_len: int = 4) -> tuple[DynSystem, Re
         def survives(words: list[str]) -> bool:
             return find_member(candidate(words), N) is not None
 
-    idx = 0
-    for word in words_up_to(sys_.k, enum_len):
-        if not word:
-            continue
-        idx += 1
-        if any(is_prefix(p, word) for p in adopted):
-            # removal already implied; the class is unchanged
-            chain.stages.append(RemovalStage(idx, word, True, True, current))
-            continue
-        if survives(adopted + [word]):
-            adopted.append(word)
-            current = candidate(adopted)
-            chain.stages.append(RemovalStage(idx, word, True, False, current))
-        else:
-            chain.stages.append(RemovalStage(idx, word, False, False, current))
+    alpha = letters(sys_.k)
+    frontier = list(alpha)
+    for _ in range(enum_len):
+        rejected = []
+        for word in frontier:
+            pruned = survives(adopted + [word])
+            if pruned:
+                adopted.append(word)
+                current = candidate(adopted)
+            else:
+                rejected.append(word)
+            chain.decisions.append(RemovalStage(word, pruned, False, current))
+        frontier = [w + a for w in rejected for a in alpha]
     return DynSystem(current, f), chain
 
 
@@ -272,9 +289,19 @@ def product_system(parts: list[ClosedClass]) -> DynSystem:
     return DynSystem(space, builtin_map("column-shift", parts[0].k, depth, columns=cols))
 
 
-def decode_bit(minimal_sys: DynSystem, n: int) -> bool:
+def decode_members(minimal_sys: DynSystem) -> list[str]:
+    """The full-depth members that :func:`decode_bit` reads, listed once for
+    every bit; too many of them means the class is not minimal at depth."""
+    members = iter_members(minimal_sys.space, minimal_sys.depth, limit=_DECODE_MEMBER_LIMIT + 1)
+    if len(members) > _DECODE_MEMBER_LIMIT:
+        raise UndecidedAtDepth("class too wide to scan; not minimal at depth?")
+    return members
+
+
+def decode_bit(minimal_sys: DynSystem, n: int, members: list[str]) -> bool:
     """True iff some member's column ``n`` extends ``01``.
 
+    ``members`` are the class's full-depth members (:func:`decode_members`).
     Full-depth members of a minimal class carry a single orbit phase, so the
     scan walks each member's iterates (which are members themselves): the
     column word must show ``0`` then ``1`` at some consecutive rows.  Requires
@@ -288,7 +315,4 @@ def decode_bit(minimal_sys: DynSystem, n: int) -> bool:
         raise ValueError(f"column {n} out of range")
     if n + cols + 1 > minimal_sys.depth:
         raise UndecidedAtDepth(f"column {n} has fewer than 2 letters at depth {minimal_sys.depth}")
-    members = iter_members(minimal_sys.space, minimal_sys.depth, limit=_DECODE_MEMBER_LIMIT + 1)
-    if len(members) > _DECODE_MEMBER_LIMIT:
-        raise UndecidedAtDepth("class too wide to scan; not minimal at depth?")
     return any("01" in w[n::cols] for w in members)

@@ -15,8 +15,8 @@ from cantordyn.avoidance import build_dodging_class, verify_not_ap
 from cantordyn.cli import main
 from cantordyn.maps import builtin_map, random_normalized_map
 from cantordyn.minimal import (HaltingSim, ap_bound_from_minimal,
-                               build_bit_coder, decode_bit, minimal_subsystem,
-                               product_system, s_orbit)
+                               build_bit_coder, decode_bit, decode_members,
+                               minimal_subsystem, product_system, s_orbit)
 from cantordyn.recurrence import (audit_cover_stages, construct_recurrent_point,
                                   gadget_recurrent_equals_paths)
 from cantordyn.refinement import (OpenRequest, Phi1Predicate, PiecewiseIterate,
@@ -139,8 +139,9 @@ def test_criterion_5_halting_coding():
     sim = HaltingSim(bits, stage_horizon=8)
     parts = [build_bit_coder(n, sim, 8) for n, _ in bits]
     msys, _ = minimal_subsystem(product_system(parts), enum_len=10)
+    members = decode_members(msys)
     for n, t in bits:
-        assert decode_bit(msys, n) == (t is not None)
+        assert decode_bit(msys, n, members) == (t is not None)
 
 
 @criterion(6, 60, "dodging lemma: orbit case, degenerate witness, full sigma chain")

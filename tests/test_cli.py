@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from cantordyn.cli import build_parser, main, parse_spec, emit_spec
+from cantordyn import minimal
+from cantordyn.cli import build_parser, digest, emit_spec, main, parse_spec
 from cantordyn.errors import SpecFormatError
 
 GOLDEN = {"alphabet": 2, "depth": 16, "stage_horizon": 0,
@@ -155,6 +156,25 @@ class TestCommands:
         got = {k: v["decoded"] for k, v in rep["outcome"]["bits"].items()}
         assert got == {"0": False, "1": True, "2": True, "3": False}
 
+    def test_decode_halting_lists_the_class_once(self, tmp_path, monkeypatch):
+        lengths = []
+        real = minimal.iter_members
+
+        def counted(space, length, limit=None):
+            lengths.append(length)
+            return real(space, length, limit)
+
+        monkeypatch.setattr(minimal, "iter_members", counted)
+        for nbits in (2, 5):
+            sim = tmp_path / f"sim{nbits}.json"
+            sim.write_text(json.dumps({"stage_horizon": 2, "bits": [
+                [n, None if n % 2 else n % 4 // 2 + 1] for n in range(nbits)]}))
+            lengths.clear()
+            code, _ = run_to_json(["decode-halting", "--sim", str(sim), "--coldepth", "6"],
+                                  tmp_path, f"h{nbits}.json")
+            # the columns are listed at depth 6, the minimal class once at full depth
+            assert code == 0 and lengths.count(6 * nbits) == 1, (nbits, lengths)
+
     def test_dodge(self, tmp_path):
         p = tmp_path / "p0.json"
         p.write_text(json.dumps({"alphabet": 2, "depth": 24,
@@ -303,6 +323,15 @@ class TestCommands:
         assert main(["decode-halting", "--sim", str(p)]) == 2
         assert "error: sim.bits:" in capsys.readouterr().err
 
+    def test_coldepth_one_exit_code(self, sim_file, tmp_path, capsys):
+        # one row per column: decode_bit needs two (n + cols + 1 > cols·1)
+        assert main(["decode-halting", "--sim", sim_file, "--coldepth", "1"]) == 2
+        assert "error: --coldepth: must be at least 2" in capsys.readouterr().err
+        empty = tmp_path / "empty.json"
+        empty.write_text(json.dumps({"stage_horizon": 4, "bits": []}))
+        assert main(["decode-halting", "--sim", str(empty), "--coldepth", "1",
+                     "--out", str(tmp_path / "out.json")]) == 0
+
     def test_malformed_requests_exit_code(self, golden_spec, tmp_path, capsys):
         p = tmp_path / "reqs.json"
         p.write_text(json.dumps([{"name": "u0", "stages": [["x", "1"]]}]))
@@ -437,6 +466,31 @@ class TestParser:
             main(argv)
         assert e.value.code == 2
         assert f"argument {argv[-2]}: must be at least" in capsys.readouterr().err
+
+
+def test_one_parser_serves_every_call(golden_spec, sim_file, tmp_path):
+    # main reuses one parser: no value or default may carry over between calls
+    assert build_parser() is build_parser()
+    with pytest.raises(SystemExit) as e:
+        main(["minimal", golden_spec, "--bogus"])
+    assert e.value.code == 2
+    code, traced = run_to_json(["minimal", golden_spec, "--trace", "--enum-len", "2"],
+                               tmp_path, "m1.json")
+    assert code == 0 and "chain" in traced["outcome"]
+    code, _ = run_to_json(["decode-halting", "--sim", sim_file, "--coldepth", "6",
+                           "--enum-len", "5"], tmp_path, "h1.json")
+    assert code == 0
+    code, plain = run_to_json(["minimal", golden_spec], tmp_path, "m2.json")
+    with open(golden_spec, encoding="utf-8") as fh:
+        spec = emit_spec(parse_spec(fh.read()))
+    assert code == 0 and "chain" not in plain["outcome"]
+    assert plain["inputs_digest"] == digest({"enum_len": 4, "spec": spec})
+    code, halting = run_to_json(["decode-halting", "--sim", sim_file], tmp_path, "h2.json")
+    with open(sim_file, encoding="utf-8") as fh:
+        sim = json.load(fh)
+    assert code == 0
+    assert halting["inputs_digest"] == digest({"sim": sim, "coldepth": 8,
+                                               "enum_len": len(sim["bits"]) + 2})
 
 
 def _stable(report: dict) -> str:

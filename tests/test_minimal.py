@@ -6,14 +6,16 @@ from hypothesis import strategies as st
 
 from cantordyn.errors import NotMinimal, UndecidedAtDepth
 from cantordyn.maps import builtin_map
+from cantordyn import minimal
 from cantordyn.minimal import (HaltingSim, _columns_avoid, ap_bound_from_minimal,
-                               build_bit_coder, decode_bit, minimal_subsystem,
-                               product_system, s_orbit)
+                               build_bit_coder, decode_bit, decode_members,
+                               minimal_subsystem, product_system, s_orbit)
 from cantordyn.search import (OrbitAvoidance, avoidance_class, find_member,
                               iter_members)
 from cantordyn.systems import (ClosedClass, DynSystem, explicit_class,
-                               full_class, validate_system)
-from cantordyn.words import all_words, letters, periodic_word, words_up_to
+                               forbidden_window_class, full_class, orbit_class,
+                               validate_system)
+from cantordyn.words import all_words, is_prefix, letters, periodic_word, words_up_to
 
 
 def reachable_cylinders(sys_, max_len):
@@ -135,27 +137,29 @@ class TestProductsAndDecode:
         sim = HaltingSim(((0, None), (1, 2)), stage_horizon=6)
         parts = [build_bit_coder(n, sim, 8) for n in range(2)]
         msys, _ = minimal_subsystem(product_system(parts), enum_len=4)
-        assert decode_bit(msys, 0) is False
-        assert decode_bit(msys, 1) is True
+        members = decode_members(msys)
+        assert decode_bit(msys, 0, members) is False
+        assert decode_bit(msys, 1, members) is True
 
     def test_decode_depth_guard(self):
         sim = HaltingSim(((0, None), (1, 1)), stage_horizon=4)
         parts = [build_bit_coder(n, sim, 1) for n in range(2)]
         prod = product_system(parts)
         with pytest.raises(UndecidedAtDepth):
-            decode_bit(DynSystem(prod.space, prod.map), 1)
+            decode_bit(DynSystem(prod.space, prod.map), 1, decode_members(prod))
 
     def test_decode_lists_exactly_the_limit(self):
         # the full 2-class at depth 12 under the 2-column shift has exactly
         # 4096 members, the scan limit: every member is listed, so it decides
         prod = product_system([full_class(2, 6), full_class(2, 6)])
-        assert len(iter_members(prod.space, prod.depth, limit=4097)) == 4096
-        assert decode_bit(prod, 0) is True and decode_bit(prod, 1) is True
+        members = decode_members(prod)
+        assert len(members) == 4096
+        assert decode_bit(prod, 0, members) is True and decode_bit(prod, 1, members) is True
 
     def test_decode_wider_than_the_limit(self):
         prod = product_system([full_class(2, 7), full_class(2, 7)])
         with pytest.raises(UndecidedAtDepth, match="too wide"):
-            decode_bit(prod, 0)
+            decode_members(prod)
 
     def test_column_mismatch(self):
         a = explicit_class(2, 4, ["0000"])
@@ -273,4 +277,117 @@ def test_halting_coding_runs_no_search(monkeypatch):
 
     monkeypatch.setattr("cantordyn.minimal.find_member", no_search)
     msys, _ = minimal_subsystem(prod, enum_len=len(sim.bits) + 2)
-    assert [decode_bit(msys, n) for n, _ in sim.bits] == [t is not None for _, t in sim.bits]
+    members = decode_members(msys)
+    assert ([decode_bit(msys, n, members) for n, _ in sim.bits]
+            == [t is not None for _, t in sim.bits])
+
+
+def reference_chain(sys_, enum_len):
+    """The greedy loop that visits every word up to ``enum_len`` and tests it
+    against every adopted prefix: ``(word, pruned, vacuous, class_after)`` per
+    entry, and the number of removals it decided."""
+    f, columns = sys_.map, sys_.space.columns
+    current, adopted, entries, decided = sys_.space, [], [], 0
+
+    def candidate(words):
+        return avoidance_class(sys_.space, OrbitAvoidance(f, words),
+                               name=f"{sys_.space.name}\\[{','.join(words)}]")
+
+    if columns and f.suffix_step == len(columns) and enum_len <= 2 * len(columns):
+        members = [iter_members(c, c.depth) for c in columns]
+
+        def survives(words):
+            return _columns_avoid(members, columns[0].depth, words)
+    else:
+        def survives(words):
+            return find_member(candidate(words), sys_.depth) is not None
+
+    for word in words_up_to(sys_.k, enum_len):
+        if not word:
+            continue
+        if any(is_prefix(p, word) for p in adopted):
+            entries.append((word, True, True, current))
+            continue
+        decided += 1
+        if survives(adopted + [word]):
+            adopted.append(word)
+            current = candidate(adopted)
+            entries.append((word, True, False, current))
+        else:
+            entries.append((word, False, False, current))
+    return entries, decided
+
+
+def _class_pattern(classes):
+    """Each class's name and the first position holding the same object."""
+    first = {}
+    return [(c.name, first.setdefault(id(c), i)) for i, c in enumerate(classes)]
+
+
+@st.composite
+def greedy_systems(draw):
+    """``(system, enum_len)``: bit-coder products with ``enum_len`` up to two
+    rows (the column program) or past them (the search), SFTs and periodic
+    orbit classes under the shift."""
+    kind = draw(st.sampled_from(["product", "sft", "orbit"]))
+    if kind == "product":
+        stages = draw(st.lists(st.one_of(st.none(), st.integers(1, 3)), min_size=1, max_size=3))
+        sim = HaltingSim(tuple(enumerate(stages)), stage_horizon=3)
+        coldepth = draw(st.integers(1, 4))
+        prod = product_system([build_bit_coder(n, sim, coldepth) for n, _ in sim.bits])
+        return prod, draw(st.integers(0, 2 * len(stages) + 2))
+    k = draw(st.integers(2, 3))
+    depth = draw(st.integers(4, 9))
+    alphabet = letters(k)
+    if kind == "sft":
+        words = draw(st.lists(st.text(alphabet, min_size=1, max_size=3), max_size=3))
+        space = forbidden_window_class(k, depth, words)
+    else:
+        space = orbit_class(draw(st.text(alphabet, min_size=1, max_size=5)), k, depth)
+    return DynSystem(space, builtin_map("left-shift", k, depth)), draw(st.integers(0, 4))
+
+
+@given(greedy_systems())
+@settings(max_examples=150, deadline=None)
+def test_chain_matches_reference_greedy_loop(sys_len):
+    sys_, enum_len = sys_len
+    calls = Counter()
+
+    def counted(name):
+        real = getattr(minimal, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("_columns_avoid", "find_member"):
+            mp.setattr(minimal, name, counted(name))
+        msys, chain = minimal_subsystem(sys_, enum_len)
+    entries, decided = reference_chain(sys_, enum_len)
+    # survives runs once per word that no adopted prefix implies
+    assert calls["_columns_avoid"] + calls["find_member"] == decided
+    assert chain.to_json() == [{"word": w, "pruned": p, "vacuous": v} for w, p, v, _ in entries]
+    assert chain.pruned_words() == [w for w, p, v, _ in entries if p and not v]
+    assert (_class_pattern([st.class_after for st in chain.stages])
+            == _class_pattern([e[3] for e in entries]))
+    assert msys.space.name == (entries[-1][3] if entries else sys_.space).name
+
+
+def test_halting_chain_decides_only_unimplied_removals(monkeypatch):
+    # the 7-bit shape of the benchmark's halting jobs: 1,022 entries, of
+    # which only the words with no adopted prefix reach the column program
+    sim = HaltingSim(((0, None), (1, 1), (2, 3), (3, None), (4, 1), (5, 3), (6, None)),
+                     stage_horizon=3)
+    prod = product_system([build_bit_coder(n, sim, 8) for n, _ in sim.bits])
+    calls = []
+    real = minimal._columns_avoid
+    monkeypatch.setattr(minimal, "_columns_avoid",
+                        lambda *args: calls.append(args[2]) or real(*args))
+    _, chain = minimal_subsystem(prod, enum_len=len(sim.bits) + 2)
+    stages = chain.stages
+    assert len(stages) == 2 ** 10 - 2
+    tried = [st.word for st in stages if not st.vacuous]
+    assert [words[-1] for words in calls] == tried
+    assert len(tried) < 64

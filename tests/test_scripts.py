@@ -11,6 +11,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+# speed guards whose slow form would still finish within the default timeout
+TIMEOUT_S = {"halting_roundtrip-20-bits": 30}
 
 
 @pytest.mark.parametrize("argv", [
@@ -27,12 +29,16 @@ ROOT = Path(__file__).resolve().parent.parent
     # removal is an exhaustive search over the product
     pytest.param(["scripts/halting_roundtrip.py", "--bits", "8", "--seed", "0"],
                  id="halting_roundtrip-8-bits"),
+    # a speed guard: testing each of the 2^23 words up to length 22 against
+    # every adopted prefix takes about 50 s; the run takes 2 s without that
+    pytest.param(["scripts/halting_roundtrip.py", "--bits", "20", "--max-stage", "4",
+                  "--seed", "0"], id="halting_roundtrip-20-bits"),
     ["scripts/ap_forcing_walkthrough.py"],
     # the benchmark's top ap-forcing rung
     pytest.param(["scripts/ap_forcing_walkthrough.py", "--depth", "256"],
                  id="ap_forcing_walkthrough-depth-256"),
 ], ids=lambda argv: Path(argv[0]).stem)
-def test_script_exits_zero(argv):
+def test_script_exits_zero(argv, request):
     done = subprocess.run([sys.executable, *argv], cwd=ROOT, capture_output=True,
-                          text=True, timeout=300)
+                          text=True, timeout=TIMEOUT_S.get(request.node.callspec.id, 300))
     assert done.returncode == 0, done.stderr
