@@ -100,36 +100,37 @@ class CodedMap:
         Returns human-readable violations (empty when clean): ``f(λ)``, then
         order, shrink and moduli.  Order is checked on one-letter extensions,
         which by transitivity covers every prefix pair.  One pass computes
-        each image once, level by level, keeping each level's least image
-        length: only a modulus that this shows failing rescans its level.
+        each image once from the rule, without ``apply`` or its memo, a
+        level at a time, keeping each level's least image length.  A level
+        is rescanned word by word only when it fails the order or shrink
+        test, and a modulus only when that least length shows it failing.
         """
         cap = self.depth if max_len is None else min(max_len, self.depth)
         alpha = letters(self.k)
-        apply = self.apply
-        f0 = apply("")
+        rule = self._rule
+        f0 = rule("")
         bad = [f"f(λ) = {f0!r} != λ"] if f0 != "" else []
         order: list[str] = []
         shrink: list[str] = []
         least = [len(f0)]
         words, images = [""], [f0]
         for n in range(1, cap + 1):
-            next_words, next_images = [], []
-            for w, fw in zip(words, images):
-                for a in alpha:
-                    wa = w + a
-                    fwa = apply(wa)
+            parents = [fw for fw in images for _ in alpha]
+            words = [w + a for w in words for a in alpha]
+            images = list(map(rule, words))
+            lens = list(map(len, images))
+            if (self.shrinking and max(lens) >= n
+                    or not all(map(str.startswith, images, parents))):
+                for wa, fwa, fw in zip(words, images, parents):
                     if not fwa.startswith(fw):
-                        order.append(f"order violated: f({w!r})={fw!r} not a prefix of f({wa!r})={fwa!r}")
+                        order.append(f"order violated: f({wa[:-1]!r})={fw!r} not a prefix of f({wa!r})={fwa!r}")
                     if self.shrinking and len(fwa) >= n:
                         shrink.append(f"shrink violated at {wa!r}: |f| = {len(fwa)}")
-                    next_words.append(wa)
-                    next_images.append(fwa)
-            words, images = next_words, next_images
-            least.append(min(map(len, images)))
+            least.append(min(lens))
         bad += order + shrink
         for l, m in sorted(self.moduli.items()):
             if m <= cap and least[m] < l:
-                w = next(w for w in all_words(self.k, m) if len(apply(w)) < l)
+                w = next(w for w in all_words(self.k, m) if len(rule(w)) < l)
                 bad.append(f"modulus witness {m} fails for l={l} at {w!r}")
         return bad
 

@@ -23,7 +23,7 @@ from typing import Callable
 from .errors import HorizonExhausted, InconsistentDepth, ModulusExhausted
 from .maps import CodedMap
 from .search import (OrbitAvoidance, PredicateAvoidance, avoidance_class,
-                     death_length, find_member)
+                     death_length, find_member, iter_members)
 from .systems import (APCert, APRow, DynSystem, PointApprox, Report,
                       memo_class, restrict_class, search_ap_row)
 from .words import all_words, words_up_to
@@ -179,7 +179,7 @@ def check_piecewise_samples(cert: PiecewiseIterate, against: CodedMap,
     alpha = "012"[: f.k]
     for _ in range(samples):
         n = rng.randint(cert.l, f.depth)
-        w = "".join(rng.choice(alpha) for _ in range(n))
+        w = "".join(rng.choices(alpha, k=n))
         want = f.iterate(w, cert.j(w[: cert.l]))
         if against.apply(w) != want:
             rep.add("cert-soundness", w, "sampled mismatch")
@@ -358,25 +358,36 @@ def nbh_periodicity(sys_: DynSystem, i: int) -> NbhResult:
 
     Every search restricts one ``memo_class`` of the parent, which asks the
     parent's child test once per word; the result is built over the parent
-    itself, so the memo lives only as long as the call.
+    itself, so the memo lives only as long as the call.  A member's orbit
+    stays in the class, so it never enters the cylinder of a non-member:
+    forbidding one leaves the class as it was, and needs no search once the
+    class is known to reach full depth.
     """
     f = sys_.map
     N = sys_.depth
     parent = memo_class(sys_.space)
     words_i = list(all_words(sys_.k, i))
-    avoided: list[str] = []
+    members = set(iter_members(parent, i))
+    avoided: dict[str, int] = {}  # word -> stage 0, in the order adopted
+    alive = None  # whether the class so far has a full-depth member
     for w in reversed(words_i):
-        cand = avoided + [w]
+        if w not in members:
+            if alive is None:
+                alive = find_member(parent, N) is not None
+            if alive:
+                avoided[w] = 0
+            continue
+        cand = avoided | {w: 0}
         cls = avoidance_class(parent, OrbitAvoidance(f, cand), name="nbh-cand")
         if find_member(cls, N) is not None:
-            avoided = cand
+            avoided, alive = cand, True
     space = sys_.space if not avoided else avoidance_class(
         sys_.space, OrbitAvoidance(f, avoided), name=f"{sys_.space.name}·nbh({i})")
     b = 1
     for w in words_i:
         if w in avoided:
             continue
-        cls = avoidance_class(parent, OrbitAvoidance(f, avoided + [w]), name="nbh-s")
+        cls = avoidance_class(parent, OrbitAvoidance(f, avoided | {w: 0}), name="nbh-s")
         dl = death_length(cls, N)
         if dl is None:
             raise HorizonExhausted(f"return length for {w!r} exceeds depth {N}")

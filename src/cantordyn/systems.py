@@ -235,10 +235,12 @@ def validate_system(sys_: DynSystem, max_len: int | None = None) -> Report:
     scan and rule-level construction is trusted.  Forward invariance is tested
     on members only, and nonemptiness at full depth always by search.
 
-    The walk keeps, per length on its path, the image and whether it is a
-    member.  A clean map check means ``f(w)`` extends ``f(w[:-1])``, so only
-    the letters past the parent's image need the child test; otherwise, or
-    past the depth, ``member`` decides.  Violations sort stably by length.
+    The walk calls the map's rule, as the map check does, so it leaves no
+    memo of every word behind.  It keeps, per length on its path, the image
+    and whether it is a member.  A clean map check means ``f(w)`` extends
+    ``f(w[:-1])``, so only the letters past the parent's image need the
+    child test; otherwise, or past the depth, ``member`` decides.
+    Violations sort stably by length.
     """
     from .search import find_member, live_nodes
 
@@ -252,11 +254,11 @@ def validate_system(sys_: DynSystem, max_len: int | None = None) -> Report:
         rep.add("nonempty", "", "root not a member")
     elif find_member(space, sys_.depth) is None:
         rep.add("nonempty", "", f"no member of length {sys_.depth}")
-    step = space._step
+    step, rule = space._step, f._rule
     path: list[tuple[str, bool]] = []  # (f(w), f(w) is a member) per length
     left: list[tuple[str, str]] = []
     for w in live_nodes(space, cap):
-        fw = f.apply(w)
+        fw = rule(w)
         if w and not map_bad and len(fw) <= space.depth:
             fp, ok = path[len(w) - 1]
             ok = ok and all(step(fw[:i]) for i in range(len(fp) + 1, len(fw) + 1))

@@ -14,6 +14,7 @@ from itertools import product
 from pathlib import Path
 
 import pytest
+from conftest import FIBONACCI, THUE_MORSE, fixed_point_factors
 
 from cantordyn.cli import main
 
@@ -63,6 +64,8 @@ INPUTS = {
     "reqs-c9.json": [{"name": "u0", "words": ["0"]}, {"name": "u1", "words": ["01"]},
                      {"name": "u2", "words": ["10"]}, {"name": "u3", "words": ["00"]},
                      {"name": "u4", "stages": [[0, "000"], [4, "010"]]}],
+    "fibonacci-64.json": _spec(64, _nodes(fixed_point_factors(FIBONACCI, 64))),
+    "thue-morse-64.json": _spec(64, _nodes(fixed_point_factors(THUE_MORSE, 64))),
     "sim.json": {"stage_horizon": 6, "bits": [[0, None], [1, 1], [2, 2], [3, None]]},
     "sim-empty.json": {"stage_horizon": 4, "bits": []},
     "sim-mixed.json": {"stage_horizon": 3,
@@ -93,6 +96,9 @@ JOBS = {
     "decode-halting-empty": ["decode-halting", "--sim", "sim-empty.json"],
     "orbit-point": ["orbit", "golden.json", "--point", "0100101001001010", "--steps", "3"],
     "ap-point-no-requests": ["ap-point", "golden.json", "--cmax", "2"],
+    # aperiodic factor classes: no short period, so the periodicity stages decide
+    "ap-point-fibonacci-64": ["ap-point", "fibonacci-64.json", "--cmax", "6"],
+    "ap-point-thue-morse-64": ["ap-point", "thue-morse-64.json", "--cmax", "6"],
     "ap-point-seed-3": ["ap-point", "golden.json", "--requests", "reqs.json", "--cmax", "2",
                         "--seed", "3"],
     "recurrent-untraced": ["recurrent", "golden.json", "--stages", "3"],

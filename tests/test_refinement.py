@@ -3,21 +3,24 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from conftest import FIBONACCI, THUE_MORSE, fixed_point_factors
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from cantordyn import refinement
 from cantordyn.errors import HorizonExhausted
 from cantordyn.maps import CodedMap, builtin_map
 from cantordyn.minimal import s_orbit
-from cantordyn.refinement import (OpenRequest, Phi1Predicate, PiecewiseIterate,
-                                  check_piecewise_samples, check_refinement_cert,
-                                  compose, construct_ap_point, least_element_forcing,
-                                  meet_or_avoid, nbh_periodicity)
-from cantordyn.search import iter_members
+from cantordyn.refinement import (NbhResult, OpenRequest, Phi1Predicate,
+                                  PiecewiseIterate, check_piecewise_samples,
+                                  check_refinement_cert, compose, construct_ap_point,
+                                  least_element_forcing, meet_or_avoid, nbh_periodicity)
+from cantordyn.search import (OrbitAvoidance, avoidance_class, death_length,
+                              find_member, iter_members)
 from cantordyn.systems import (ClosedClass, DynSystem, explicit_class,
-                               forbidden_window_class, full_class, orbit_class,
-                               validate_system, verify_ap)
-from cantordyn.words import all_words, periodic_word
+                               forbidden_window_class, full_class, memo_class,
+                               orbit_class, stagewise_class, validate_system, verify_ap)
+from cantordyn.words import all_words, periodic_word, words_up_to
 
 N = 12
 
@@ -286,6 +289,115 @@ class TestNbhPeriodicity:
             assert any(f.iterate(w, n).startswith(tau) for n in range(1, res.b + 1))
 
 
+def greedy_nbh(sys_, i):
+    """``nbh_periodicity`` as a plain greedy loop: one candidate search per
+    length-``i`` word, largest first, and one death length per word left."""
+    f, N = sys_.map, sys_.depth
+    parent = memo_class(sys_.space)
+    words_i = list(all_words(sys_.k, i))
+    avoided = []
+    for w in reversed(words_i):
+        cand = avoided + [w]
+        if find_member(avoidance_class(parent, OrbitAvoidance(f, cand), "c"), N) is not None:
+            avoided = cand
+    space = sys_.space if not avoided else avoidance_class(
+        sys_.space, OrbitAvoidance(f, avoided), name="nbh")
+    b = 1
+    for w in words_i:
+        if w in avoided:
+            continue
+        dl = death_length(avoidance_class(parent, OrbitAvoidance(f, avoided + [w]), "s"), N)
+        if dl is None:
+            raise HorizonExhausted(f"return length for {w!r} exceeds depth {N}")
+        b = max(b, dl)
+    return NbhResult(DynSystem(space, f), b, tuple(sorted(avoided)))
+
+
+@st.composite
+def shift_invariant_systems(draw):
+    """A system ``validate_system`` accepts at depth 2–12: a forbidden-window,
+    orbit, substitution-factor or stagewise class under the shift, the
+    2-column shift or a piecewise iterate of the shift."""
+    depth = draw(st.integers(2, 12))
+    kind = draw(st.sampled_from(["sft", "orbit", "factors", "stages"]))
+    forb = draw(st.lists(st.text(alphabet="01", min_size=1, max_size=3),
+                         min_size=1, max_size=3))
+    if kind == "sft":
+        cls = forbidden_window_class(2, depth, forb)
+    elif kind == "orbit":
+        cls = orbit_class(draw(st.text(alphabet="01", min_size=1, max_size=5)), 2, depth)
+    elif kind == "factors":
+        cls = explicit_class(2, depth, fixed_point_factors(
+            draw(st.sampled_from([FIBONACCI, THUE_MORSE])), depth))
+    else:
+        # the least words holding a forbidden window, each removed at a drawn
+        # stage; one drawn past the horizon is not removed, which can break
+        # forward invariance (validation then rejects the draw)
+        hits = [w for w in words_up_to(2, depth)
+                if any(w.endswith(t) for t in forb)
+                and not any(t in w[:-1] for t in forb)]
+        stages = draw(st.lists(st.integers(0, 3), min_size=len(hits), max_size=len(hits)))
+        cls = stagewise_class(2, depth, zip(stages, hits), stage_horizon=2)
+    shift_ = shift(depth)
+    map_kind = draw(st.sampled_from(["shift", "column-shift", "piecewise"]))
+    if map_kind == "column-shift":
+        f = builtin_map("column-shift", 2, depth, columns=2)
+    elif map_kind == "piecewise":
+        l = draw(st.integers(0, 2))
+        table = dict(zip(all_words(2, l), draw(st.lists(
+            st.integers(1, 2), min_size=2 ** l, max_size=2 ** l))))
+        f = PiecewiseIterate(l, 2, shift_, table.__getitem__).induced()
+    else:
+        f = shift_
+    sys_ = DynSystem(cls, f)
+    assume(validate_system(sys_).ok)
+    return sys_
+
+
+class TestNbhPeriodicityProperties:
+    @given(shift_invariant_systems(), st.integers(1, 3))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_greedy_loop(self, sys_, i):
+        def outcome(fn):
+            try:
+                res = fn(sys_, i)
+            except HorizonExhausted as e:
+                return str(e)
+            return res.avoided, res.b, iter_members(res.system.space, sys_.depth)
+
+        assert outcome(nbh_periodicity) == outcome(greedy_nbh)
+
+    @pytest.mark.parametrize("rules", [FIBONACCI, THUE_MORSE], ids=["fibonacci", "thue-morse"])
+    def test_no_search_for_a_non_member(self, rules, monkeypatch):
+        # a work guard that counts instead of timing: forbidding a non-member
+        # word changes no class, so no candidate or death-length search is for one
+        sys_ = DynSystem(explicit_class(2, 64, fixed_point_factors(rules, 64)), shift(64))
+        added = {}  # class -> the word its avoidance condition adds
+        searched = []
+
+        def avoidance_class_(base, avoid, name):
+            cls = avoidance_class(base, avoid, name)
+            added[cls] = list(avoid.stage)[-1]
+            return cls
+
+        def counted(search):
+            def run(space, cap):
+                searched.append(added.get(space))
+                return search(space, cap)
+            return run
+
+        monkeypatch.setattr(refinement, "avoidance_class", avoidance_class_)
+        monkeypatch.setattr(refinement, "find_member", counted(find_member))
+        monkeypatch.setattr(refinement, "death_length", counted(death_length))
+        res = nbh_periodicity(sys_, 4)
+        non_members = {w for w in all_words(2, 4) if not sys_.space.member(w)}
+        assert non_members and non_members <= set(res.avoided)
+        assert searched and not non_members & set(searched)
+        assert searched.count(None) <= 1  # the one search of the class itself
+        want = greedy_nbh(sys_, 4)
+        assert (res.avoided, res.b) == (want.avoided, want.b)
+
+
 class TestProperties:
     @given(st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=25, deadline=None)
@@ -366,3 +478,17 @@ class TestConstructApPoint:
         cases = [st.case for st in log.stages if st.kind == "request"]
         assert "meet" in cases and "avoid" in cases
         assert check_piecewise_samples(log.chain, log.final.map, 150, seed=2).ok
+
+    def test_sampled_check_catches_a_wrong_map(self):
+        # one meet whose landing exponent is 1 or 2: "010…" lands on "0" in two steps
+        sys_ = DynSystem(full_class(2, 32), builtin_map("left-shift", 2, 32))
+        X, cert, log = construct_ap_point(sys_, [OpenRequest.static("u", ["0", "11"])], c_max=1)
+        chain = log.chain
+        assert check_piecewise_samples(chain, log.final.map, 200, seed=5).ok
+        # the base map is the chain only where the exponent is 1
+        rep = check_piecewise_samples(chain, sys_.map, 200, seed=5)
+        assert not rep.ok
+        assert {c for c, _, _ in rep.entries} == {"cert-soundness"}
+        assert all(chain.l <= len(w) <= 32 for _, w, _ in rep.entries)
+        assert rep.entries == check_piecewise_samples(chain, sys_.map, 200, seed=5).entries
+        assert rep.entries != check_piecewise_samples(chain, sys_.map, 200, seed=6).entries
