@@ -33,7 +33,7 @@ def main():
     prod = product_system(parts)
     msys, chain = minimal_subsystem(prod, enum_len=len(parts) + 2)
     print(f"product depth {prod.depth}, pruned {len(chain.pruned_words())} cylinders, "
-          f"{time.monotonic() - t0:.1f}s")
+          f"{(time.monotonic() - t0) * 1000:.0f} ms")
 
     members = decode_members(msys)   # listed once, read for every bit
     for w in members[:4]:

@@ -5,7 +5,8 @@ cylinder can be removed: the candidate class keeps only words none of whose
 iterates (up to their own length) enter the cylinder, and the removal is
 adopted exactly when that class still has a full-depth member.  Cylinders
 extending an adopted one are never generated: their removal is already
-implied, and the chain rebuilds those entries only when they are read.
+implied, and the chain rebuilds those entries only when they are read.  On a
+column product one transfer across the columns decides each length's words.
 
 The bit coders realize the stagewise classes of the halting coding: until the
 simulated entry stage the class is the switch tree (prefixes of ``0^a 1^ω``
@@ -75,9 +76,10 @@ def minimal_subsystem(sys_: DynSystem, enum_len: int = 4) -> tuple[DynSystem, Re
 
     Only the nonemptiness of each candidate matters, so on a
     :func:`product_system` under its own column shift with ``enum_len`` at
-    most two rows (``2·cols``), :func:`_columns_avoid` decides it over the
-    column members, listed once per call, and the candidate class is built
-    only for an adopted removal; every other system runs the search.
+    most two rows (``2·cols``), :func:`_column_level` decides a whole level
+    with one transfer over the column members, listed once; the candidate
+    class is built only for an adopted removal.  Every other system runs the
+    search, one candidate at a time.
     """
     f = sys_.map
     N = sys_.depth
@@ -92,19 +94,25 @@ def minimal_subsystem(sys_: DynSystem, enum_len: int = 4) -> tuple[DynSystem, Re
 
     if columns and f.suffix_step == len(columns) and enum_len <= 2 * len(columns):
         members = [iter_members(c, c.depth) for c in columns]
+        patterns: dict = {}
 
-        def survives(words: list[str]) -> bool:
-            return _columns_avoid(members, columns[0].depth, words)
+        def decide(frontier: list[str]) -> list[bool]:
+            return _column_level(members, columns[0].depth, adopted, frontier, patterns)
     else:
-        def survives(words: list[str]) -> bool:
-            return find_member(candidate(words), N) is not None
+        def decide(frontier: list[str]) -> list[bool]:
+            taken: list[str] = []
+            for word in frontier:
+                if find_member(candidate(adopted + taken + [word]), N) is not None:
+                    taken.append(word)
+            return [word in taken for word in frontier]
 
     alpha = letters(sys_.k)
     frontier = list(alpha)
     for _ in range(enum_len):
+        if not frontier:
+            break
         rejected = []
-        for word in frontier:
-            pruned = survives(adopted + [word])
+        for word, pruned in zip(frontier, decide(frontier)):
             if pruned:
                 adopted.append(word)
                 current = candidate(adopted)
@@ -115,51 +123,69 @@ def minimal_subsystem(sys_: DynSystem, enum_len: int = 4) -> tuple[DynSystem, Re
     return DynSystem(current, f), chain
 
 
-def _columns_avoid(members: list[list[str]], depth: int, words: list[str]) -> bool:
-    """Whether some choice of one member of length ``depth`` per column,
-    interleaved into rows, puts no word of ``words`` at a row start ``r·cols``
-    where it fits (``r·cols + |τ| ≤ cols·depth``): the test "the column-shift
-    avoidance class has a full-depth member" for words of at most ``2·cols``
-    letters, which only meet one row and the head of the next.
+def _column_level(members: list[list[str]], depth: int, adopted: list[str],
+                  frontier: list[str], patterns: dict) -> list[bool]:
+    """The greedy decisions on ``frontier``, in order, given ``adopted``: a
+    word is removed when some choice of one member of length ``depth`` per
+    column, interleaved into rows, puts no adopted word and no word removed
+    before it at a row start ``r·cols`` where it fits
+    (``r·cols + |τ| ≤ cols·depth``).  Words have at most ``2·cols`` letters.
 
-    The columns are chosen in order (a transfer matrix run across columns),
-    and the states reached are deduplicated after each column.  A state keeps,
-    per row, the row's letters so far and the next row's first
-    ``max(0, max|τ| − cols)`` letters, which finish the windows that start at
-    the row; a row is ``None`` once its letters are no proper prefix of a word.
+    One transfer across the columns decides the level.  A state keeps its
+    open rows as ``(r, mask of the words that the row's letters, and the next
+    row's head letters, still agree with)`` and the mask of the frontier
+    words put at a row start; it advances over the distinct letters that the
+    column's members show on its open rows, less those completing an adopted
+    word (kept in ``patterns`` across one chain's levels).  A word is removed
+    iff some final mask lacks it; removing it drops every mask that has it.
     """
     cols = len(members)
-    forbidden = set(words)
-    open_prefixes = {w[:i] for w in words for i in range(1, len(w))}
-    heads = max(0, max(map(len, words)) - cols)
-    long_lens = sorted({len(w) for w in words if len(w) > cols})
-    states = {(("", ""),) * depth}
+    words = frontier + adopted
+    dead = (1 << len(words)) - (1 << len(frontier))   # completing one kills a state
+    heads = max(map(len, words)) - cols
+    ending = [0] * (2 * cols)   # the words of each length
+    for i, w in enumerate(words):
+        ending[len(w) - 1] |= 1 << i
+    # a long word never fits the last row: no head letter there agrees with it
+    states = {(tuple((r, (1 << len(words)) - 1) for r in range(depth)), 0)}
     for j, column in enumerate(members):
+        g = 2 if j < heads else 1   # letters read per row: its own, and a head letter
+        needs: dict[tuple[str, str], int] = {}   # (row letter, head letter) -> words
+        for i, w in enumerate(words):
+            key = (w[j:j + 1], w[cols + j:cols + j + 1])
+            needs[key] = needs.get(key, 0) | 1 << i
+        letters = set("".join(column))
+        agree = {a: sum(m for (x, y), m in needs.items() if x in ("", a[0]) and y in ("", a[1:]))
+                 for a in (letters | {x + y for x in letters for y in letters} if g == 2 else letters)}
+        end = ending[j] if j + 1 < cols else -1   # every word left ends at the last column
+        banned: dict[int, tuple[str, ...]] = {}
         grown = set()
-        for rows in states:
-            for c in column:
-                nxt = []
-                for r, row in enumerate(rows):
-                    if row is None:
-                        nxt.append(None)
-                        continue
-                    p, h = row
-                    p += c[r]
-                    if p in forbidden:
-                        break
-                    if p not in open_prefixes:
-                        nxt.append(None)
-                    elif j < heads and r + 1 < depth:
-                        nxt.append((p, h + c[r + 1]))
-                    else:
-                        nxt.append((p, h))
-                else:
-                    grown.add(tuple(nxt))
+        for rows, hit in states:
+            for _, cand in rows:
+                if cand not in banned:
+                    banned[cand] = tuple(sorted(a for a, m in agree.items() if cand & m & end & dead))
+            key = (j, g, tuple((r, banned[cand]) for r, cand in rows))
+            if key not in patterns:
+                patterns[key] = list({tuple(c[r:r + g] for r, _ in key[2]) for c in column
+                                      if all(c[r:r + g] not in b for r, b in key[2])})
+            for pattern in patterns[key]:
+                nxt, mask = [], hit
+                for (r, cand), a in zip(rows, pattern):
+                    cand &= agree[a]
+                    done = cand & end
+                    mask |= done
+                    cand ^= done
+                    if cand:
+                        nxt.append((r, cand))
+                grown.add((tuple(nxt), mask))
         states = grown
-    return any(not any(row is not None and r * cols + t <= cols * depth
-                       and (row[0] + row[1])[:t] in forbidden
-                       for r, row in enumerate(rows) for t in long_lens)
-               for rows in states)
+    hits = [mask for _, mask in states]
+    decisions = []
+    for i in range(len(frontier)):
+        rest = [m for m in hits if not m >> i & 1]
+        decisions.append(bool(rest))
+        hits = rest or hits
+    return decisions
 
 
 def ap_bound_from_minimal(sys_: DynSystem, tau: str) -> int:
@@ -214,12 +240,6 @@ def s_orbit(i: int, depth: int) -> PeriodicOrbitClass:
     return PeriodicOrbitClass(i, members, orbit_class(gen, 2, depth))
 
 
-def _is_switch(w: str) -> bool:
-    """Words of shape 0^a 1^b or 1^a 0^b."""
-    changes = sum(1 for i in range(1, len(w)) if w[i] != w[i - 1])
-    return changes <= 1
-
-
 def build_bit_coder(n: int, sim: HaltingSim, depth: int) -> ClosedClass:
     """Stagewise class coding one simulated bit.
 
@@ -229,17 +249,23 @@ def build_bit_coder(n: int, sim: HaltingSim, depth: int) -> ClosedClass:
     """
     t = sim.stage_of(n)
     horizon = sim.stage_horizon
-    orbit_words = None if t is None else s_orbit(t, depth).members
+    orbit = None if t is None else {v[:i] for v in s_orbit(t, depth).members for i in range(depth + 1)}
+    cap = horizon if t is None else min(horizon, t - 1)
 
     def member_at(w: str, s: int) -> bool:
-        switch_level = min(len(w), s if t is None else min(s, t - 1))
-        if not _is_switch(w[:switch_level]):
+        head = w[:s if t is None else min(s, t - 1)]
+        if sum(map(str.__ne__, head, head[1:])) > 1:   # not of shape 0^a 1^b or 1^a 0^b
             return False
-        if t is not None and s >= t:
-            return any(v.startswith(w) for v in orbit_words)
-        return True
+        return t is None or s < t or w in orbit
 
-    return ClosedClass(2, depth, lambda w: member_at(w, horizon), member_at=member_at,
+    def step(w: str) -> bool:
+        # member_at(w, horizon) given w[:-1]: only the last letter can switch
+        # a second time, or leave the orbit's prefixes
+        if 2 < len(w) <= cap and w[-1] != w[-2] and w[0] != w[-2]:
+            return False
+        return orbit is None or w in orbit
+
+    return ClosedClass(2, depth, step, member_at=member_at,
                        name=f"bit{n}(t={'inf' if t is None else t})")
 
 

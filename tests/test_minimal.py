@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from cantordyn.errors import NotMinimal, UndecidedAtDepth
 from cantordyn.maps import builtin_map
 from cantordyn import minimal
-from cantordyn.minimal import (HaltingSim, _columns_avoid, ap_bound_from_minimal,
+from cantordyn.minimal import (HaltingSim, _column_level, ap_bound_from_minimal,
                                build_bit_coder, decode_bit, decode_members,
                                minimal_subsystem, product_system, s_orbit)
 from cantordyn.search import (OrbitAvoidance, avoidance_class, find_member,
@@ -115,6 +115,13 @@ class TestBitCoders:
         assert cls.member("11100000", stage=2)
         assert not cls.member("11100000", stage=3)
         assert cls.member(periodic_word("000111", 8), stage=8)
+
+    @pytest.mark.parametrize("horizon", range(1, 6))
+    def test_child_test_matches_member_at(self, horizon):
+        for t in (None, *range(1, horizon + 1)):
+            cls = build_bit_coder(0, HaltingSim(((0, t),), horizon), 8)
+            for w in words_up_to(2, 8):
+                assert cls.member(w) == cls.member(w, stage=horizon), (t, w)
 
     def test_stage_bounds_enforced(self):
         with pytest.raises(ValueError):
@@ -234,36 +241,66 @@ def test_product_asks_each_column_word_once():
         assert max(per_word.values()) == 1, (n, per_word.most_common(3))
 
 
+def search_decisions(prod, adopted, frontier):
+    """The greedy decisions on ``frontier`` by the search: each word is
+    removed when its avoidance class, with the earlier removals applied
+    first, has a full-depth member."""
+    taken = []
+    for word in frontier:
+        cls = avoidance_class(prod.space, OrbitAvoidance(prod.map, adopted + taken + [word]), "c")
+        if find_member(cls, prod.depth) is not None:
+            taken.append(word)
+    return [word in taken for word in frontier]
+
+
 @st.composite
-def column_products(draw):
-    """Products of 1–5 bit coders (never halting or entering at stage 1..3 of
-    3) at column depth 1–6, with 1–6 forbidden words of 1..2·cols letters.
-    Some words are row-aligned windows of members, so that they can matter
-    in the last rows too."""
-    stages = draw(st.lists(st.one_of(st.none(), st.integers(1, 3)), min_size=1, max_size=5))
-    coldepth = draw(st.integers(1, 6))
-    sim = HaltingSim(tuple(enumerate(stages)), stage_horizon=3)
+def column_levels(draw):
+    """``(product, adopted, frontier)``: products of 1–5 bit coders (never
+    halting or entering at stage 1..3 of 3) at column depth 1–6, or of 1–3
+    bits at horizon 4 and column depth 8, one of them never halting (128
+    column members); 0–3 adopted words of 1..2·cols letters and a level of
+    1–8 distinct words of one length.  Some words are row-aligned windows of
+    members, so that they can matter in the last rows too."""
+    if draw(st.booleans()):
+        stages = draw(st.lists(st.one_of(st.none(), st.integers(1, 3)), min_size=1, max_size=5))
+        horizon, coldepth = 3, draw(st.integers(1, 6))
+    else:
+        stages = [None] + draw(st.lists(st.one_of(st.none(), st.integers(1, 4)), max_size=2))
+        horizon, coldepth = 4, 8
+    sim = HaltingSim(tuple(enumerate(stages)), stage_horizon=horizon)
     prod = product_system([build_bit_coder(n, sim, coldepth) for n, _ in sim.bits])
     cols = len(stages)
-    window = st.builds(lambda w, r, t: w[r * cols:r * cols + t],
-                       st.sampled_from(iter_members(prod.space, prod.depth, limit=32)),
-                       st.integers(0, coldepth - 1), st.integers(1, 2 * cols))
-    words = draw(st.lists(st.one_of(st.text("01", min_size=1, max_size=2 * cols), window),
-                          min_size=1, max_size=6))
-    return prod, words
+    members = iter_members(prod.space, prod.depth, limit=32)
+
+    def words(size):
+        text = st.text("01", min_size=size, max_size=size)
+        if size > prod.depth:
+            return text
+        return st.one_of(text, st.builds(lambda w, r: w[r * cols:r * cols + size],
+                                         st.sampled_from(members),
+                                         st.integers(0, (prod.depth - size) // cols)))
+
+    size = draw(st.integers(1, 2 * cols))
+    adopted = draw(st.lists(st.integers(1, 2 * cols).flatmap(words), max_size=3))
+    frontier = draw(st.lists(words(size), min_size=1, max_size=8, unique=True))
+    return prod, adopted, frontier
+
+
+def two_rows_of_01():
+    return product_system([build_bit_coder(0, HaltingSim(((0, 1),), 3), 2)])
 
 
 # two rows of (01)^ω: every member meets a word ending exactly at full depth
-@example((product_system([build_bit_coder(0, HaltingSim(((0, 1),), 3), 2)]), ["01", "10"]))
-@given(column_products())
+@example((two_rows_of_01(), [], ["01", "10"]))
+@example((two_rows_of_01(), ["01"], ["10", "11"]))
+@given(column_levels())
 @settings(max_examples=500, deadline=None)
-def test_column_program_matches_search(prod_words):
-    prod, words = prod_words
+def test_column_level_matches_search(prod_level):
+    prod, adopted, frontier = prod_level
     columns = prod.space.columns
     members = [iter_members(c, c.depth) for c in columns]
-    candidate = avoidance_class(prod.space, OrbitAvoidance(prod.map, words), "candidate")
-    assert (_columns_avoid(members, columns[0].depth, words)
-            == (find_member(candidate, prod.depth) is not None))
+    assert (_column_level(members, columns[0].depth, adopted, frontier, {})
+            == search_decisions(prod, adopted, frontier))
 
 
 def test_halting_coding_runs_no_search(monkeypatch):
@@ -283,24 +320,16 @@ def test_halting_coding_runs_no_search(monkeypatch):
 
 
 def reference_chain(sys_, enum_len):
-    """The greedy loop that visits every word up to ``enum_len`` and tests it
-    against every adopted prefix: ``(word, pruned, vacuous, class_after)`` per
-    entry, and the number of removals it decided."""
-    f, columns = sys_.map, sys_.space.columns
+    """The greedy loop that visits every word up to ``enum_len``, tests it
+    against every adopted prefix and decides the rest one search at a time:
+    ``(word, pruned, vacuous, class_after)`` per entry, and the number of
+    removals it decided."""
+    f = sys_.map
     current, adopted, entries, decided = sys_.space, [], [], 0
 
     def candidate(words):
         return avoidance_class(sys_.space, OrbitAvoidance(f, words),
                                name=f"{sys_.space.name}\\[{','.join(words)}]")
-
-    if columns and f.suffix_step == len(columns) and enum_len <= 2 * len(columns):
-        members = [iter_members(c, c.depth) for c in columns]
-
-        def survives(words):
-            return _columns_avoid(members, columns[0].depth, words)
-    else:
-        def survives(words):
-            return find_member(candidate(words), sys_.depth) is not None
 
     for word in words_up_to(sys_.k, enum_len):
         if not word:
@@ -309,7 +338,7 @@ def reference_chain(sys_, enum_len):
             entries.append((word, True, True, current))
             continue
         decided += 1
-        if survives(adopted + [word]):
+        if find_member(candidate(adopted + [word]), sys_.depth) is not None:
             adopted.append(word)
             current = candidate(adopted)
             entries.append((word, True, False, current))
@@ -347,27 +376,37 @@ def greedy_systems(draw):
     return DynSystem(space, builtin_map("left-shift", k, depth)), draw(st.integers(0, 4))
 
 
+def _recorded_levels(mp):
+    """Patch the level program to record the candidates of each call."""
+    levels = []
+    real = minimal._column_level
+    mp.setattr(minimal, "_column_level", lambda *args: levels.append(list(args[3])) or real(*args))
+    return levels
+
+
 @given(greedy_systems())
 @settings(max_examples=150, deadline=None)
 def test_chain_matches_reference_greedy_loop(sys_len):
     sys_, enum_len = sys_len
-    calls = Counter()
-
-    def counted(name):
-        real = getattr(minimal, name)
-
-        def wrapper(*args):
-            calls[name] += 1
-            return real(*args)
-        return wrapper
+    searches = []
+    real = minimal.find_member
 
     with pytest.MonkeyPatch.context() as mp:
-        for name in ("_columns_avoid", "find_member"):
-            mp.setattr(minimal, name, counted(name))
+        levels = _recorded_levels(mp)
+        mp.setattr(minimal, "find_member", lambda *args: searches.append(args) or real(*args))
         msys, chain = minimal_subsystem(sys_, enum_len)
     entries, decided = reference_chain(sys_, enum_len)
-    # survives runs once per word that no adopted prefix implies
-    assert calls["_columns_avoid"] + calls["find_member"] == decided
+    tried = [w for w, _, v, _ in entries if not v]
+    assert len(tried) == decided
+    columns = sys_.space.columns
+    if columns and enum_len <= 2 * len(columns):
+        # one transfer per level with candidates, over exactly the words that
+        # no adopted prefix implies, and no search
+        assert [w for level in levels for w in level] == tried
+        assert all(levels) and len(levels) == len({len(w) for w in tried})
+        assert not searches
+    else:
+        assert not levels and len(searches) == decided
     assert chain.to_json() == [{"word": w, "pruned": p, "vacuous": v} for w, p, v, _ in entries]
     assert chain.pruned_words() == [w for w, p, v, _ in entries if p and not v]
     assert (_class_pattern([st.class_after for st in chain.stages])
@@ -377,17 +416,42 @@ def test_chain_matches_reference_greedy_loop(sys_len):
 
 def test_halting_chain_decides_only_unimplied_removals(monkeypatch):
     # the 7-bit shape of the benchmark's halting jobs: 1,022 entries, of
-    # which only the words with no adopted prefix reach the column program
+    # which only the words with no adopted prefix reach the column program,
+    # one level per transfer
     sim = HaltingSim(((0, None), (1, 1), (2, 3), (3, None), (4, 1), (5, 3), (6, None)),
                      stage_horizon=3)
     prod = product_system([build_bit_coder(n, sim, 8) for n, _ in sim.bits])
-    calls = []
-    real = minimal._columns_avoid
-    monkeypatch.setattr(minimal, "_columns_avoid",
-                        lambda *args: calls.append(args[2]) or real(*args))
+    levels = _recorded_levels(monkeypatch)
     _, chain = minimal_subsystem(prod, enum_len=len(sim.bits) + 2)
     stages = chain.stages
     assert len(stages) == 2 ** 10 - 2
     tried = [st.word for st in stages if not st.vacuous]
-    assert [words[-1] for words in calls] == tried
+    assert [w for level in levels for w in level] == tried
+    assert [len(level[0]) for level in levels] == list(range(1, 10))
     assert len(tried) < 64
+
+
+def test_level_without_candidates_runs_no_transfer(monkeypatch):
+    # at column depth 1 the product is 2 letters deep: every 3-letter word is
+    # removed (no member puts it anywhere), so length 4 has no candidates
+    sim = HaltingSim(((0, None), (1, 1)), stage_horizon=3)
+    prod = product_system([build_bit_coder(n, sim, 1) for n, _ in sim.bits])
+    levels = _recorded_levels(monkeypatch)
+    _, chain = minimal_subsystem(prod, enum_len=4)
+    assert [len(level[0]) for level in levels] == [1, 2, 3]
+    assert all(st.pruned for st in chain.decisions if len(st.word) == 3)
+
+
+def test_twenty_bit_round_trip_transfers(monkeypatch):
+    # the sim of halting_roundtrip.py --bits 20 --max-stage 4 --seed 0: one
+    # transfer per chain level, not one per decision (296 of them)
+    stages = (4, 1, 4, 3, None, 2, None, None, None, 1, None, 3, None, 4, None, None,
+              None, 4, 2, None)
+    sim = HaltingSim(tuple(enumerate(stages)), stage_horizon=4)
+    prod = product_system([build_bit_coder(n, sim, 8) for n, _ in sim.bits])
+    levels = _recorded_levels(monkeypatch)
+    msys, chain = minimal_subsystem(prod, enum_len=len(stages) + 2)
+    assert len(levels) <= 22
+    assert len(chain.pruned_words()) == 142
+    members = decode_members(msys)
+    assert [decode_bit(msys, n, members) for n in range(20)] == [t is not None for t in stages]

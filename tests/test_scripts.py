@@ -33,6 +33,10 @@ TIMEOUT_S = {"halting_roundtrip-20-bits": 30}
     # every adopted prefix takes about 50 s; the run takes 2 s without that
     pytest.param(["scripts/halting_roundtrip.py", "--bits", "20", "--max-stage", "4",
                   "--seed", "0"], id="halting_roundtrip-20-bits"),
+    # a speed guard: one column transfer per removal instead of one per chain
+    # level takes about 1.3 s here; one per level, about 0.2 s
+    pytest.param(["scripts/halting_roundtrip.py", "--bits", "24", "--max-stage", "4",
+                  "--seed", "0"], id="halting_roundtrip-24-bits"),
     ["scripts/ap_forcing_walkthrough.py"],
     # the benchmark's top ap-forcing rung
     pytest.param(["scripts/ap_forcing_walkthrough.py", "--depth", "256"],
