@@ -20,10 +20,11 @@ from cantordyn.words import all_words
 
 def cylinder_tree(kept, scan, depth):
     kept = frozenset(kept)
+    prefixes = {v[:i] for v in kept for i in range(scan + 1)}
 
     def member(w):
         if len(w) <= scan:
-            return any(v.startswith(w) for v in kept)
+            return w in prefixes
         return w[:scan] in kept
 
     return ClosedClass(2, depth, member, name="random")

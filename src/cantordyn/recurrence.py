@@ -4,9 +4,9 @@ construction of a recurrent point.
 The gadget embeds binary tree-path search into recurrence over alphabet 3:
 paths of the source tree are fixed by the map, non-paths are pushed along in
 increasing lexicographic order, looping through the extra letter ``2``; the
-tree is asked each 2-free word once.  The brute-force oracle walks the orbits
-of scan words padded with zeros to the working depth, all together, level by
-level; that depth must be at least ``2·scan_depth + 1``, so a deviation
+tree is asked each 2-free word once.  The oracle walks one zero-padded orbit
+per class of scan words sharing a shortest off-tree prefix, all level by
+level; the working depth must be at least ``2·scan_depth + 1``, so a deviation
 anywhere in the scanned prefix still has room to show a missing return.
 
 The recurrent-point construction computes nested cover stages ``(U_i, V_i,
@@ -21,14 +21,16 @@ a direct scan of that word's orbit and re-verified independently.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import EmptyClassError, HorizonExhausted, ModulusExhausted
 from .maps import CodedMap
 from .search import find_member, iter_members, live_nodes
 from .systems import (ClosedClass, DynSystem, PointApprox, RecCert, Report, cylinder_class,
                       full_class)
-from .words import all_words, letters
+from .words import letters
 
 _STAGE_ENUM_CAP = 18          # a covering scan lists at most 2^18 members, of length ≤ 18
 _STORE_NODE_BUDGET = 2_000_000
@@ -41,9 +43,13 @@ def build_ternary_gadget(tree: ClosedClass) -> DynSystem:
     the shortest off-tree prefix ``π`` determines a lexicographic successor,
     with ``2`` wrapping around to the all-zero word.
     """
+    return DynSystem(full_class(3, tree.depth), _gadget(tree)[0])
+
+
+def _gadget(tree: ClosedClass) -> tuple[CodedMap, Callable[[str], str | None]]:
+    """The gadget map and its ``π``, which share one memo of asked words."""
     if tree.k != 2:
         raise ValueError("source tree must be over alphabet 2")
-    depth = tree.depth
     asked: dict[str, bool] = {}     # 2-free words asked: on the tree or not
 
     def shortest_off_tree(w: str) -> str | None:
@@ -51,8 +57,7 @@ def build_ternary_gadget(tree: ClosedClass) -> DynSystem:
         end = len(w) if two < 0 else two
         for m in range(1, end + 1):
             u = w[:m]
-            on = asked.get(u)
-            if on is None:
+            if (on := asked.get(u)) is None:
                 # past the first letter every proper prefix is on the tree
                 on = asked[u] = tree.member_step(u) if m > 1 else tree.member(u)
             if not on:
@@ -75,33 +80,37 @@ def build_ternary_gadget(tree: ClosedClass) -> DynSystem:
         succ = "1" if branch == "0" else "2"
         return (rho + succ + "0" * n)[:n]
 
-    gadget_map = CodedMap(3, depth, rule, {l: l + 1 for l in range(depth)} | {0: 0},
-                          shrinking=True, name="gadget")
-    return DynSystem(full_class(3, depth), gadget_map)
+    return CodedMap(3, tree.depth, rule, {l: l + 1 for l in range(tree.depth)} | {0: 0},
+                    shrinking=True, name="gadget"), shortest_off_tree
 
 
 def gadget_recurrent_set(tree: ClosedClass, scan_depth: int) -> set[str]:
     """Depth-``scan_depth`` ternary words whose zero-padding returns to its
     ``scan_depth``-prefix at a time past ``scan_depth``, which serves every
-    smaller precision (brute force).  Each level applies every distinct
-    iterate once, keyed to the uncertified words whose orbits reach it; the
-    map drops one letter per step, so the walk ends at length ``scan_depth``.
+    smaller precision.  The rule reads a word only through its length and its
+    shortest off-tree prefix ``c`` (an on-tree scan word is its own ``c``), so
+    one orbit from ``c0…0`` serves, and certifies, every scan word extending
+    ``c``.  Each level applies every distinct iterate once; the map drops one
+    letter per step, so the walk ends at length ``scan_depth``.
     """
     if tree.depth < 2 * scan_depth + 1:
         raise ValueError("tree depth must be at least 2*scan_depth + 1 for the oracle")
-    f = build_ternary_gadget(tree).map
-    pad = "0" * (tree.depth - scan_depth)
-    level = {w + pad: {w} for w in all_words(3, scan_depth)}
+    f, off = _gadget(tree)
+    scan, pad = scan_depth, "0" * (tree.depth - scan_depth)
+    classes, live = [], [""]    # live: on-tree 2-free words, and the root always
+    for _ in range(scan):
+        kids, live = [u + a for u in live for a in "012"], []
+        for c in kids:
+            (classes if off(c) else live).append(c)
+    level = {(c + "0" * scan)[:scan] + pad: [c] for c in classes + live}
     found: set[str] = set()
-    for n in range(1, tree.depth - scan_depth + 1):
-        nxt: dict[str, set[str]] = {}
-        for cur, words in level.items():
+    for n in range(1, tree.depth - scan + 1):
+        nxt: dict[str, list[str]] = {}
+        for cur, cls in level.items():
             img = f.apply(cur)
-            if n > scan_depth and img[:scan_depth] in words:
-                words.remove(img[:scan_depth])
-                found.add(img[:scan_depth])
-            if words:
-                nxt.setdefault(img, set()).update(words)
+            if n > scan and any(img.startswith(c) for c in cls):
+                found.add(img[:scan])
+            nxt.setdefault(img, []).extend(cls)
         level = nxt
     return found
 
@@ -295,7 +304,7 @@ def construct_recurrent_point(sys_: DynSystem, stages: int = 6,
     prev_store = frozenset([""])
     for i in range(1, stages + 1):
         state = _StageState(f, N, i, prev_store)
-        s_found = None
+        s_found, first = None, ""    # members below first extend ones covered at s - 1, so at s
         for s in range(max(1, i - 1), N + 1):
             if s > _STAGE_ENUM_CAP:
                 raise HorizonExhausted(f"stage {i}: covering scan beyond 2^{s}",
@@ -306,7 +315,8 @@ def construct_recurrent_point(sys_: DynSystem, stages: int = 6,
             if len(V) > 2 ** _STAGE_ENUM_CAP:
                 raise HorizonExhausted(f"stage {i}: more than 2^{_STAGE_ENUM_CAP} members "
                                        f"of length {s}", partial=stage_records)
-            if all(_covered(state, v, s) for v in V):
+            first = next((v for v in V[bisect_left(V, first):] if not _covered(state, v, s)), None)
+            if first is None:
                 s_found = s
                 break
         if s_found is None:

@@ -253,6 +253,21 @@ class TestCommands:
                                 tmp_path, "rt.json")
         assert code == 0 and rep["outcome"]["recurrent_equals_paths"]
 
+    @pytest.mark.parametrize("tree, code, equal", [
+        ({"kind": "forbidden_words", "words": ["11"]}, 0, True),
+        ({"kind": "stagewise", "removals": [[0, ""]]}, 1, False),
+    ], ids=["golden-mean", "root-removed"])
+    def test_reduce_tree_scan_depth_zero(self, tmp_path, tree, code, equal):
+        # the one scan word, the empty word, always returns; it is a path
+        # exactly when the root is on the tree
+        p = tmp_path / "t.json"
+        p.write_text(json.dumps(dict(GOLDEN, tree=tree)))
+        got, rep = run_to_json(["reduce-tree", str(p), "--scan-depth", "0", "--trace"],
+                               tmp_path, "rt0.json")
+        assert got == code and rep["verified"] is equal
+        assert rep["outcome"] == {"recurrent_equals_paths": equal, "recurrent_set": [""],
+                                  "scan_depth": 0}
+
     def test_parse_error_exit_code(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text("{broken")

@@ -2,6 +2,7 @@ import random
 from collections import Counter
 
 import pytest
+from conftest import FIBONACCI, THUE_MORSE, fixed_point_factors
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -104,18 +105,26 @@ class TestGadgetOracle:
         assert gadget_recurrent_equals_paths(tree, 8)
 
 
-@given(st.integers(1, 4), st.integers(0, 2),
-       st.sampled_from(["cylinder", "forbidden", "explicit"]), st.data())
-@settings(max_examples=90, deadline=None)
+@given(st.integers(0, 4), st.integers(0, 2),
+       st.sampled_from(["cylinder", "forbidden", "explicit", "stagewise", "full"]), st.data())
+@settings(max_examples=150, deadline=None)
 def test_gadget_set_matches_per_precision_reference(scan, extra, kind, data):
-    """The level walk finds the set that testing every precision ``c ≤ scan``
-    on each fully built orbit finds.  Explicit trees take the benchmark's
-    shape (kept scan words padded with zeros) plus stems that die before the
-    working depth, and may be empty; there the recurrent set need not be the
-    path set, so only the reference decides."""
+    """The class walk finds the set that testing every precision ``c ≤ scan``
+    on the fully built orbit of each scan word finds.  Explicit trees take the
+    benchmark's shape (kept scan words padded with zeros) plus stems that die
+    before the working depth, and may be empty; stagewise trees may remove the
+    root.  There the recurrent set need not be the path set, so only the
+    reference decides.  At scan depth 0 the one scan word is always found."""
     depth = 2 * scan + 1 + extra
     level = sorted(all_words(2, scan))
-    if kind == "cylinder":
+    if kind == "full":
+        tree = full_class(2, depth)
+    elif kind == "stagewise":
+        removals = data.draw(st.lists(st.tuples(st.integers(0, 2),
+                                                st.text(alphabet="01", max_size=scan + 1)),
+                                      max_size=4))
+        tree = stagewise_class(2, depth, removals, data.draw(st.integers(0, 2)))
+    elif kind == "cylinder":
         kept = data.draw(st.lists(st.sampled_from(level), min_size=1, unique=True))
         tree = cylinder_tree(kept, depth, level=scan)
     elif kind == "explicit":
@@ -123,8 +132,8 @@ def test_gadget_set_matches_per_precision_reference(scan, extra, kind, data):
         stems = data.draw(st.lists(st.text(alphabet="01", max_size=depth - 1), max_size=3))
         tree = explicit_class(2, depth, [w + "0" * (depth - scan) for w in kept] + stems)
     else:
-        words = data.draw(st.lists(st.text(alphabet="01", min_size=2, max_size=scan + 1),
-                                   max_size=3))
+        words = data.draw(st.lists(st.text(alphabet="01", min_size=2,
+                                           max_size=max(2, scan + 1)), max_size=3))
         tree = forbidden_window_class(2, depth, words)
     f = build_ternary_gadget(tree).map
 
@@ -137,6 +146,7 @@ def test_gadget_set_matches_per_precision_reference(scan, extra, kind, data):
 
     want = {w for w in all_words(3, scan) if certifies(w)}
     assert gadget_recurrent_set(tree, scan) == want
+    assert scan or want == {""}
 
 
 def _pi_memo_rule(tree):
@@ -212,9 +222,10 @@ def test_gadget_map_matches_pi_memo_rule(tree, seed):
 
 def test_gadget_scan_work_guard(monkeypatch):
     """A work guard in counts, not time: on a depth-17 tree shaped like the
-    benchmark pool, the scan-depth-8 oracle applies the map at most twice per
-    scan word (one orbit at a time took about 17 calls per word) and asks the
-    tree no word twice."""
+    benchmark pool, the scan-depth-8 oracle walks one orbit per class of scan
+    words sharing a shortest off-tree prefix, 1,442 map applications in all
+    (7,678 with one orbit per scan word, about 17 per word one at a time), and
+    asks the tree no word twice, the class walk included."""
     scan, depth = 8, 17
     kept = random.Random(8).sample(sorted(all_words(2, scan)), 2 ** scan // 4)
     prefixes = {w[:i] for w in kept for i in range(scan + 1)}
@@ -242,7 +253,7 @@ def test_gadget_scan_work_guard(monkeypatch):
 
     monkeypatch.setattr(CodedMap, "apply", counted_apply)
     assert gadget_recurrent_set(tree, scan) == set(kept)
-    assert calls <= 2 * 3 ** scan
+    assert calls <= 1_500
     assert max(asked.values()) == 1
 
 
@@ -390,6 +401,45 @@ class TestConstructRecurrentPoint:
             (1, 1), (2, 2), (6, 5), (62, 34), (1570, 377)]
         assert len(walks) == 4 and walks[-1] <= 13_000
         assert calls["store ret"] == 0 and calls["iter_members"] == 0
+
+    @pytest.mark.parametrize("space, stages, want", [
+        (forbidden_window_class(2, 16, ["101"]), 4, (8_323, 4_635)),
+        (forbidden_window_class(2, 24, ["11"]), 4, (632, 311)),
+        (explicit_class(2, 32, fixed_point_factors(THUE_MORSE, 32)), 5, None),
+        (explicit_class(2, 32, fixed_point_factors(FIBONACCI, 32)), 5, None),
+    ], ids=["no-101", "golden-mean", "thue-morse", "fibonacci"])
+    def test_covering_frontier_work_guard(self, monkeypatch, space, stages, want):
+        # a work guard that counts instead of timing: at each candidate bound
+        # the covering scan starts past the members that extend words covered
+        # at the bound before, so no stage tests more words than a scan from
+        # the first member at every bound does
+        calls = Counter()
+
+        def covered(state, v, s):
+            calls[state.i] += 1
+            return _covered(state, v, s)
+
+        monkeypatch.setattr(recurrence, "_covered", covered)
+        sys_ = DynSystem(space, builtin_map("left-shift", 2, space.depth))
+        _, _, records = construct_recurrent_point(sys_, stages=stages)
+        full = _full_covering_scan_calls(sys_, records)
+        assert all(calls[i] <= full[i] for i in full)
+        if want is not None:
+            assert (sum(full.values()), sum(calls.values())) == want
+
+
+def _full_covering_scan_calls(sys_, records):
+    """``_covered`` calls per stage of a covering scan that tests the members
+    from the first at every candidate bound, up to the first uncovered one."""
+    calls = Counter()
+    for prev, rec in zip(records, records[1:]):
+        state = _StageState(sys_.map, sys_.depth, rec.i, frozenset(prev.U))
+        for s in range(max(1, rec.i - 1), rec.s + 1):
+            for v in iter_members(sys_.space, s):
+                calls[rec.i] += 1
+                if not _covered(state, v, s):
+                    break
+    return calls
 
 
 STORE_DEPTH = 7

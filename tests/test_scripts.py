@@ -24,6 +24,11 @@ TIMEOUT_S = {"halting_roundtrip-20-bits": 30}
     # and 130 MiB
     pytest.param(["scripts/gadget_scan.py", "--scan-depth", "10", "--trees", "2"],
                  id="gadget_scan-scan-depth-10"),
+    # a speed guard: one orbit per scan word and a tree that scans its kept
+    # words for each ask take about 13 s and 340 MiB here; under a second
+    # with one orbit per class of scan words and a prefix set
+    pytest.param(["scripts/gadget_scan.py", "--scan-depth", "12", "--trees", "2"],
+                 id="gadget_scan-scan-depth-12"),
     ["scripts/halting_roundtrip.py", "--bits", "3"],
     # a speed guard: these 8 mixed-stage bits take minutes when every rejected
     # removal is an exhaustive search over the product
