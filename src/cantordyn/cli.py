@@ -27,7 +27,7 @@ from . import refinement as ref
 from .errors import CantorDynError, SpecFormatError
 from .maps import CodedMap, builtin_map, normalize
 from .search import find_member, iter_members
-from .systems import (ClosedClass, DynSystem, explicit_class,
+from .systems import (ClosedClass, DynSystem, Report, _check_nonempty, explicit_class,
                       forbidden_window_class, full_class, stagewise_class,
                       validate_system, verify_ap, verify_recurrence)
 from .words import all_words, check_word
@@ -163,8 +163,19 @@ class SystemSpec:
         raise SpecFormatError(f"unknown map kind {kind!r}", "map.kind")
 
     def build(self) -> DynSystem:
+        """The system, rejected as ``validate_system`` would reject it.  Only
+        nonemptiness is searched where the rest holds by construction: the map
+        conditions over ``shift``, ``column_shift`` or ``identity`` (or
+        ``piecewise`` iterates of one), and forward invariance under
+        ``identity`` (classes are downward closed) or a suffix map on a
+        ``full`` or ``forbidden_words`` tree (a suffix has no new windows)."""
         sys_ = DynSystem(self.build_tree(), self.build_map())
-        rep = validate_system(sys_)
+        base = self.map
+        while base["kind"] == "piecewise":
+            base = base["base"]
+        given = base["kind"] == "identity" or (base["kind"] in ("shift", "column_shift")
+                                               and self.tree["kind"] in ("full", "forbidden_words"))
+        rep = _check_nonempty(Report(), sys_.space, sys_.depth) if given else validate_system(sys_)
         if not rep.ok:
             raise SpecFormatError(f"spec builds an invalid system: {rep.summary()}", "system")
         return sys_
@@ -260,10 +271,6 @@ def _piecewise_cert_json(cert: ref.PiecewiseIterate) -> dict:
     return out
 
 
-def _sample_members(space: ClosedClass, depth: int, limit: int = 8) -> list[str]:
-    return iter_members(space, depth, limit=limit)
-
-
 def cmd_validate(args, spec: SystemSpec):
     rep = validate_system(DynSystem(spec.build_tree(), spec.build_map()))
     return {}, rep.to_json(), {}, rep.ok
@@ -301,7 +308,7 @@ def cmd_minimal(args, spec: SystemSpec):
     msys, chain = mnl.minimal_subsystem(spec.build(), enum_len=args.enum_len)
     rep = validate_system(msys)
     outcome = {"pruned": chain.pruned_words(),
-               "members_sample": _sample_members(msys.space, msys.depth)}
+               "members_sample": iter_members(msys.space, msys.depth, limit=8)}
     if args.trace:
         outcome["chain"] = chain.to_json()
     return {"enum_len": args.enum_len}, outcome, {"validation": rep.to_json()}, rep.ok
@@ -312,6 +319,12 @@ def cmd_decode_halting(args, spec: None):
     if sim.bits and args.coldepth < 2:
         # decode_bit reads two rows of a column: n + cols + 1 > cols·1 for every n
         raise SpecFormatError("must be at least 2 to decode a bit", "--coldepth")
+    t = max((t for _, t in sim.bits if t is not None), default=0)
+    if args.coldepth < 2 * t + 1:
+        # a bit halting at stage t has column period 2t: a shorter column can
+        # keep a rotation that never shows 01, which reads as never halting
+        raise SpecFormatError(f"must be at least 2t + 1 = {2 * t + 1} to decode "
+                              f"a bit with entry stage t = {t}", "--coldepth")
     parts = [mnl.build_bit_coder(n, sim, args.coldepth) for n, _ in sim.bits]
     enum_len = len(parts) + 2 if args.enum_len is None else args.enum_len
     inputs = {"sim": {"bits": [[n, t] for n, t in sim.bits],
@@ -347,7 +360,7 @@ def cmd_dodge(args, spec: SystemSpec):
         ok = not sig_bad and not_ap
         outcome = {"case": "hat",
                    "degenerate_probe": out.degenerate_probe,
-                   "hat_sample": _sample_members(out.hat_class, P.depth),
+                   "hat_sample": iter_members(out.hat_class, P.depth, limit=8),
                    "verify_not_ap": not_ap}
         certs = {"sigma": {"sigmas": list(sig.sigmas), "reps": list(sig.reps),
                            "cuts": list(sig.cuts)} if sig else None}
@@ -369,7 +382,7 @@ def cmd_meet_avoid(args, spec: SystemSpec):
         ok = ok and soundness.ok
         certs[rq.name] = _piecewise_cert_json(r.cert)
         cur = r.child
-    outcome = {"cases": cases, "final_sample": _sample_members(cur.space, cur.depth)}
+    outcome = {"cases": cases, "final_sample": iter_members(cur.space, cur.depth, limit=8)}
     return {"requests": [rq.name for rq in requests]}, outcome, certs, ok
 
 
@@ -383,7 +396,7 @@ def cmd_force_least(args, spec: SystemSpec):
     soundness = ref.check_refinement_cert(r, max_len=min(sys_.depth, 10))
     return ({"phi": args.phi, "param": args.phi_param},
             {"outcome": outcome[0], "b": outcome[1],
-             "child_sample": _sample_members(r.child.space, r.child.depth)},
+             "child_sample": iter_members(r.child.space, r.child.depth, limit=8)},
             {"piecewise": _piecewise_cert_json(r.cert)}, soundness.ok)
 
 

@@ -227,6 +227,15 @@ class Report:
                                for c, w, d in self.entries]}
 
 
+def _check_nonempty(rep: Report, space: ClosedClass, depth: int) -> Report:
+    from .search import find_member
+    if not space.member(""):
+        rep.add("nonempty", "", "root not a member")
+    elif find_member(space, depth) is None:
+        rep.add("nonempty", "", f"no member of length {depth}")
+    return rep
+
+
 def validate_system(sys_: DynSystem, max_len: int | None = None) -> Report:
     """Check the three system conditions at depth (map, nonempty and forward
     invariance), exhaustively up to a cap.
@@ -242,7 +251,7 @@ def validate_system(sys_: DynSystem, max_len: int | None = None) -> Report:
     child test; otherwise, or past the depth, ``member`` decides.
     Violations sort stably by length.
     """
-    from .search import find_member, live_nodes
+    from .search import live_nodes
 
     space, f = sys_.space, sys_.map
     cap = min(sys_.depth, 12) if max_len is None else min(max_len, sys_.depth)
@@ -250,10 +259,7 @@ def validate_system(sys_: DynSystem, max_len: int | None = None) -> Report:
     map_bad = f.check(cap)
     for msg in map_bad:
         rep.add("map", "", msg)
-    if not space.member(""):
-        rep.add("nonempty", "", "root not a member")
-    elif find_member(space, sys_.depth) is None:
-        rep.add("nonempty", "", f"no member of length {sys_.depth}")
+    _check_nonempty(rep, space, sys_.depth)
     step, rule = space._step, f._rule
     path: list[tuple[str, bool]] = []  # (f(w), f(w) is a member) per length
     left: list[tuple[str, str]] = []

@@ -3,10 +3,15 @@ import inspect
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cantordyn import minimal
+from cantordyn import cli, minimal
 from cantordyn.cli import build_parser, digest, emit_spec, main, parse_spec
 from cantordyn.errors import SpecFormatError
+from cantordyn.maps import CodedMap
+from cantordyn.systems import DynSystem, validate_system
+from cantordyn.words import all_words
 
 GOLDEN = {"alphabet": 2, "depth": 16, "stage_horizon": 0,
           "tree": {"kind": "forbidden_words", "words": ["11"]},
@@ -347,6 +352,19 @@ class TestCommands:
         assert main(["decode-halting", "--sim", str(empty), "--coldepth", "1",
                      "--out", str(tmp_path / "out.json")]) == 0
 
+    def test_coldepth_below_halting_period_exit_code(self, tmp_path, capsys):
+        # bit 0 halts at stage 4, so its column has period 8: at column depth 8
+        # the chain kept a rotation that never shows 01 and decoded "never halts"
+        sim = tmp_path / "sim.json"
+        sim.write_text(json.dumps({"stage_horizon": 4, "bits": [[0, 4], [1, None]]}))
+        assert main(["decode-halting", "--sim", str(sim), "--coldepth", "8"]) == 2
+        assert "error: --coldepth: must be at least 2t + 1 = 9" in capsys.readouterr().err
+        code, rep = run_to_json(["decode-halting", "--sim", str(sim), "--coldepth", "9"],
+                                tmp_path, "h9.json")
+        assert code == 0 and rep["outcome"]["bits"] == {
+            "0": {"decoded": True, "simulated": True},
+            "1": {"decoded": False, "simulated": False}}
+
     def test_malformed_requests_exit_code(self, golden_spec, tmp_path, capsys):
         p = tmp_path / "reqs.json"
         p.write_text(json.dumps([{"name": "u0", "stages": [["x", "1"]]}]))
@@ -437,6 +455,124 @@ class TestCommands:
         p.write_text(json.dumps(dict(GOLDEN, depth=1500, tree={"kind": "full"})))
         code, rep = run_to_json(["validate", str(p)], tmp_path, "deep-out.json")
         assert code == 0 and rep["verified"]
+
+
+def _build_verdict(spec: dict) -> str:
+    """``SystemSpec.build``'s verdict on a spec: "ok" or its error."""
+    try:
+        parse_spec(json.dumps(spec)).build()
+    except SpecFormatError as e:
+        return str(e)
+    return "ok"
+
+
+def _validate_verdict(spec: dict):
+    """The full ``validate_system`` report on a spec, and the verdict that
+    ``build`` gave on it before it skipped any check."""
+    parsed = parse_spec(json.dumps(spec))
+    rep = validate_system(DynSystem(parsed.build_tree(), parsed.build_map()))
+    return rep, "ok" if rep.ok else f"system: spec builds an invalid system: {rep.summary()}"
+
+
+def _table(k: int, depth: int, image) -> dict:
+    return {"kind": "table", "entries": [[w, image(w)] for n in range(depth + 1)
+                                         for w in all_words(k, n)]}
+
+
+@st.composite
+def constructed_specs(draw):
+    """Specs whose map and forward-invariance conditions hold by
+    construction: a ``full`` or ``forbidden_words`` tree under a stack of
+    ``piecewise`` layers over a builtin map, or any tree under one over
+    ``identity``."""
+    k, depth = draw(st.sampled_from([2, 3])), draw(st.integers(1, 10))
+    words = st.text(alphabet="012"[:k], min_size=1, max_size=3)
+    m = draw(st.one_of(st.just({"kind": "identity"}), st.sampled_from(
+        [{"kind": "shift"}] + [{"kind": "column_shift", "columns": c} for c in range(1, 5)])))
+    trees = [st.just({"kind": "full"}),
+             st.builds(lambda ws: {"kind": "forbidden_words", "words": ws},
+                       st.lists(words, min_size=1, max_size=3))]
+    if m["kind"] == "identity":
+        nodes = st.text(alphabet="012"[:k], max_size=depth)
+        trees += [st.builds(lambda ns: {"kind": "explicit_nodes", "nodes": ns},
+                            st.lists(nodes, max_size=4)),
+                  st.builds(lambda rs: {"kind": "stagewise", "removals": rs},
+                            st.lists(st.tuples(st.integers(0, 4), words).map(list), max_size=4))]
+    for _ in range(draw(st.integers(0, 2))):
+        l, b = draw(st.integers(0, 2)), draw(st.integers(1, 3))
+        m = {"kind": "piecewise", "l": l, "b": b, "base": m,
+             "j": [[w, draw(st.integers(1, b))] for w in all_words(k, l)]}
+    return {"alphabet": k, "depth": depth, "stage_horizon": draw(st.integers(0, 4)),
+            "tree": draw(st.one_of(trees)), "map": m}
+
+
+class TestBuildChecks:
+    """``build`` skips the map and forward-invariance checks where they hold
+    by construction, and still accepts and rejects what ``validate_system``
+    does, with the same message."""
+
+    @given(constructed_specs())
+    @settings(max_examples=150, deadline=None)
+    def test_constructed_specs_fail_only_nonemptiness(self, spec):
+        rep, verdict = _validate_verdict(spec)
+        assert {c for c, _, _ in rep.entries} <= {"nonempty"}, rep.summary()
+        assert _build_verdict(spec) == verdict
+
+    @pytest.mark.parametrize("spec, failed", [
+        pytest.param(GOLDEN, set(), id="golden"),
+        pytest.param(dict(GOLDEN, map=PIECEWISE), set(), id="piecewise"),
+        pytest.param(S2_NODES, set(), id="s2-nodes"),
+        pytest.param(dict(GOLDEN, depth=3, map=_table(2, 3, lambda w: w[1:])), set(),
+                     id="table-ok"),
+        pytest.param(dict(GOLDEN, depth=3, tree={"kind": "full"},
+                          map=_table(2, 3, lambda w: "1" if w == "000" else w[:1])),
+                     {"map"}, id="table-order"),
+        pytest.param(dict(GOLDEN, depth=2, tree={"kind": "full"},
+                          map=_table(2, 2, lambda w: "0" if not w else w[1:])),
+                     {"map"}, id="table-root"),
+        # a table that does not shrink is normalized, so no spec fails the
+        # shrink check
+        pytest.param(dict(GOLDEN, depth=3, tree={"kind": "full"}, map=_table(2, 3, str)),
+                     set(), id="table-normalized"),
+        # 1,533 violations under a suffix map
+        pytest.param(dict(GOLDEN, depth=40, stage_horizon=3, tree={
+            "kind": "stagewise", "removals": [[0, "11"], [2, "0101"]]}),
+            {"forward-invariance"}, id="stagewise-shift"),
+        pytest.param(dict(GOLDEN, depth=2, tree={"kind": "explicit_nodes", "nodes": ["01"]}),
+                     {"forward-invariance"}, id="explicit-not-invariant"),
+        pytest.param(dict(GOLDEN, depth=6, tree={"kind": "forbidden_words",
+                                                 "words": ["00", "01", "1"]}),
+                     {"nonempty"}, id="sft-empty"),
+        pytest.param(dict(GOLDEN, depth=6, tree={"kind": "forbidden_words",
+                                                 "words": ["00", "01", "1"]},
+                          map={"kind": "identity"}),
+                     {"nonempty"}, id="sft-empty-identity"),
+    ])
+    def test_build_rejects_what_validation_rejects(self, spec, failed):
+        rep, verdict = _validate_verdict(spec)
+        assert {c for c, _, _ in rep.entries} == failed
+        assert _build_verdict(spec) == verdict
+
+    def test_builtin_map_is_not_checked(self, monkeypatch):
+        checked, ruled = [], []
+        real_check, real_builtin = CodedMap.check, cli.builtin_map
+
+        def check(m, max_len=None):
+            checked.append(m.name)
+            return real_check(m, max_len)
+
+        def builtin(*args, **kwargs):
+            m = real_builtin(*args, **kwargs)
+            rule = m._rule
+            m._rule = lambda w: ruled.append(w) or rule(w)
+            return m
+
+        monkeypatch.setattr(CodedMap, "check", check)
+        monkeypatch.setattr(cli, "builtin_map", builtin)
+        parse_spec(json.dumps(dict(GOLDEN, depth=256))).build()
+        assert checked == [] and ruled == []
+        parse_spec(json.dumps(dict(GOLDEN, depth=3, map=_table(2, 3, lambda w: w[1:])))).build()
+        assert checked == ["table"]
 
 
 def _subcommands() -> dict:
