@@ -40,10 +40,9 @@ def _field(obj: dict, key: str, loc: str):
 
 
 def _int(value, loc: str) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise SpecFormatError(f"expected an integer, got {value!r}", loc) from None
+    if type(value) is not int:  # a JSON integer: no bool, float or string
+        raise SpecFormatError(f"expected an integer, got {value!r}", loc)
+    return value
 
 
 def _word(value, k: int, loc: str) -> str:
@@ -401,6 +400,8 @@ def cmd_force_least(args, spec: SystemSpec):
 
 
 def cmd_ap_point(args, spec: SystemSpec):
+    if args.cmax >= spec.depth:  # the row for cylinder length c needs a gap b >= 1, c + b <= depth
+        raise SpecFormatError(f"must be below depth {spec.depth} to verify a gap bound", "--cmax")
     requests = load_requests(args.requests, spec.alphabet) if args.requests else []
     X, cert, log = ref.construct_ap_point(spec.build(), requests, c_max=args.cmax)
     sound = ref.check_piecewise_samples(log.chain, log.final.map, samples=200,

@@ -245,20 +245,19 @@ def meet_or_avoid(sys_: DynSystem, request) -> tuple[Refinement, str]:
     keeps words that are short or extend a by-stage-``s`` element, with the
     induced map jumping each long-enough word forward until it lands inside.
     The meet child is reached from anywhere in the parent within ``s + 1``
-    steps of the parent map.
+    steps of the parent map.  One search of the avoidance tree gives both.
     """
     f = sys_.map
     N = sys_.depth
     space = sys_.space
     avoid = request.make_avoidance(f)
     d0 = avoidance_class(space, avoid, name=f"{space.name}~{request.name}")
-    if find_member(d0, N) is not None:
+    s = death_length(d0, N)
+    if s is None:
         child = DynSystem(d0, f)
         return Refinement(child, trivial_cert(f), case="avoid",
                           meta={"request": request.name}), "avoid"
 
-    s = death_length(d0, N)
-    assert s is not None
     targets = request.short_elements(s, sys_.k)
     if not targets:
         raise HorizonExhausted(f"meet case with no short elements at stage {s}")
@@ -354,45 +353,45 @@ def nbh_periodicity(sys_: DynSystem, i: int) -> NbhResult:
     length-``i`` word down, keeping the avoidance tree alive at depth; the
     result is inclusion-maximal, so adjoining any surviving word kills the
     tree and its death length bounds the return time into that word's
-    cylinder.
+    cylinder.  One ``death_length`` search decides each member word and
+    bounds a rejected one; it is repeated only if a later word is adopted.
 
     Every search restricts one ``memo_class`` of the parent, which asks the
     parent's child test once per word; the result is built over the parent
     itself, so the memo lives only as long as the call.  A member's orbit
     stays in the class, so it never enters the cylinder of a non-member:
-    forbidding one leaves the class as it was, and needs no search once the
-    class is known to reach full depth.
+    forbidding one changes nothing.  Non-members get no search, and join the
+    avoided set if the class reaches full depth, which takes at most one
+    search of the class itself, made only when no member word is adopted.
     """
     f = sys_.map
     N = sys_.depth
     parent = memo_class(sys_.space)
-    words_i = list(all_words(sys_.k, i))
     members = set(iter_members(parent, i))
-    avoided: dict[str, int] = {}  # word -> stage 0, in the order adopted
-    alive = None  # whether the class so far has a full-depth member
-    for w in reversed(words_i):
-        if w not in members:
-            if alive is None:
-                alive = find_member(parent, N) is not None
-            if alive:
-                avoided[w] = 0
-            continue
-        cand = avoided | {w: 0}
-        cls = avoidance_class(parent, OrbitAvoidance(f, cand), name="nbh-cand")
-        if find_member(cls, N) is not None:
-            avoided, alive = cand, True
-    space = sys_.space if not avoided else avoidance_class(
-        sys_.space, OrbitAvoidance(f, avoided), name=f"{sys_.space.name}·nbh({i})")
-    b = 1
-    for w in words_i:
-        if w in avoided:
-            continue
-        cls = avoidance_class(parent, OrbitAvoidance(f, avoided | {w: 0}), name="nbh-s")
-        dl = death_length(cls, N)
+    non_members = [w for w in all_words(sys_.k, i) if w not in members]
+
+    def death(words: list[str]) -> int | None:
+        return death_length(avoidance_class(parent, OrbitAvoidance(f, words), name="nbh"), N)
+
+    adopted: list[str] = []
+    rejected: dict[str, int] = {}  # word -> its death length when rejected
+    for w in sorted(members, reverse=True):
+        dl = death(adopted + [w])
         if dl is None:
-            raise HorizonExhausted(f"return length for {w!r} exceeds depth {N}")
-        b = max(b, dl)
-    return NbhResult(DynSystem(space, f), b, tuple(sorted(avoided)))
+            adopted.append(w)
+        else:
+            rejected[w] = dl
+    # a later adoption shrinks a rejected word's class, which stays dead
+    b = max([1] + [death(adopted + [w]) if adopted and w > adopted[-1] else dl
+                   for w, dl in rejected.items()])
+    alive = bool(adopted)
+    if non_members and not alive:
+        s = death_length(parent, N)
+        alive, b = s is None, max(b, s or 1)
+    space = sys_.space if not adopted else avoidance_class(
+        sys_.space, OrbitAvoidance(f, adopted), name=f"{sys_.space.name}·nbh({i})")
+    avoided = tuple(sorted(adopted + non_members)) if alive else ()
+    return NbhResult(DynSystem(space, f), b, avoided)
 
 
 @dataclass

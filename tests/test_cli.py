@@ -207,6 +207,15 @@ class TestCommands:
         assert code == 0 and rep["verified"]
         assert rep["certificates"]["ap"]["rows"]
 
+    def test_ap_point_cmax_below_depth(self, tmp_path, capsys):
+        # a row for cylinder length c needs a gap bound b >= 1 with c + b <= depth
+        spec = tmp_path / "gm-8.json"
+        spec.write_text(json.dumps(dict(GOLDEN, depth=8)))
+        assert main(["ap-point", str(spec), "--cmax", "8"]) == 2
+        assert "error: --cmax: must be below depth 8" in capsys.readouterr().err
+        code, rep = run_to_json(["ap-point", str(spec), "--cmax", "7"], tmp_path, "ap.json")
+        assert code == 0 and len(rep["certificates"]["ap"]["rows"]) == 7
+
     def test_ap_point_catches_corrupt_compose(self, tmp_path, monkeypatch):
         # the chain is checked against the stage-by-stage map, so a composed
         # certificate that disagrees with its factors fails the report
@@ -309,12 +318,18 @@ class TestCommands:
         (dict(GOLDEN, tree={"kind": "forbidden_words", "words": ["11", ""]}), "tree.words[1]"),
         (dict(GOLDEN, stage_horizon=-1, tree={"kind": "stagewise", "removals": [[0, "11"]]}),
          "stage_horizon"),
+        (dict(GOLDEN, depth=8.9), "depth"),
+        (dict(GOLDEN, depth="8"), "depth"),
+        (dict(GOLDEN, stage_horizon=True), "stage_horizon"),
+        (dict(GOLDEN, map={"kind": "column_shift", "columns": 1.5}), "map.columns"),
+        (dict(GOLDEN, map=dict(PIECEWISE, j=[["0", 1], ["1", 2.0]])), "map.j[1]"),
     ], ids=["no-words", "no-columns", "alphabet-x", "letter-2", "no-removals",
             "stage-x", "no-entries", "table-partial", "no-base", "exponent-x",
             "exponent-missing", "exponent-range", "bound-zero", "j-short", "j-long",
             "j-string", "j-not-list", "entry-short", "removal-short", "spec-not-object",
             "tree-not-object", "map-not-object", "base-not-object", "words-number",
-            "words-string", "node-number", "empty-forbidden-word", "horizon-negative"])
+            "words-string", "node-number", "empty-forbidden-word", "horizon-negative",
+            "depth-float", "depth-string", "horizon-bool", "columns-float", "exponent-float"])
     def test_malformed_spec_exit_code(self, tmp_path, capsys, spec, location):
         p = tmp_path / "bad.json"
         p.write_text(json.dumps(spec))
@@ -383,9 +398,12 @@ class TestCommands:
         ('{"stage_horizon": 4, "bits": [[5, null]]}', "sim.bits[0]"),
         ('{"stage_horizon": 4, "bits": [[-1, 2], [0, null]]}', "sim.bits[0]"),
         ('{"stage_horizon": -1, "bits": [[0, null]]}', "sim.stage_horizon"),
+        ('{"stage_horizon": 4.5, "bits": [[0, null]]}', "sim.stage_horizon"),
+        ('{"stage_horizon": 4, "bits": [[0, null], [true, 2]]}', "sim.bits[1]"),
+        ('{"stage_horizon": 4, "bits": [[0, "2"]]}', "sim.bits[0]"),
     ], ids=["bit-short", "bit-long", "stage-above-horizon", "stage-zero", "not-json",
             "not-object", "index-twice", "index-swapped", "index-beyond", "index-negative",
-            "horizon-negative"])
+            "horizon-negative", "horizon-float", "index-bool", "stage-string"])
     def test_malformed_sim_file(self, tmp_path, capsys, text, location):
         p = tmp_path / "sim.json"
         p.write_text(text)
@@ -407,9 +425,12 @@ class TestCommands:
         ('[{"name": 5, "words": ["1"]}]', "requests[0].name"),
         ('[{"name": "u0", "words": ["1"]}, {"words": ["0"]}, {"name": "u0", "words": ["0"]}]',
          "requests[2].name"),
+        ('[{"name": "u0", "stages": [[0, "0"], [1.5, "1"]]}]', "requests[0].stages[1]"),
+        ('[{"name": "u0", "stages": [[false, "1"]]}]', "requests[0].stages[0]"),
     ], ids=["stage-short", "stage-long", "not-json", "entry-not-object", "not-list",
             "word-number", "stage-word-number", "words-string", "word-letter-2",
-            "stage-word-letter-2", "name-list", "name-number", "name-twice"])
+            "stage-word-letter-2", "name-list", "name-number", "name-twice",
+            "stage-float", "stage-bool"])
     def test_malformed_requests_file(self, golden_spec, tmp_path, capsys, text, location):
         p = tmp_path / "reqs.json"
         p.write_text(text)

@@ -131,6 +131,37 @@ class TestCompose:
             compose(outer, inner)
 
 
+def record_searches(monkeypatch):
+    """Patch the refinement module's searches to log each one: the avoidance
+    condition its class was built with (None for a class built otherwise).
+    Also returns every ``OrbitAvoidance`` the module builds, in order."""
+    added = {}  # class -> its avoidance condition
+    searched = []
+    built = []
+
+    def avoidance_class_(base, avoid, name):
+        cls = avoidance_class(base, avoid, name)
+        added[cls] = avoid
+        return cls
+
+    def orbit_avoidance(f, forbidden):
+        avoid = OrbitAvoidance(f, forbidden)
+        built.append(avoid)
+        return avoid
+
+    def counted(search):
+        def run(space, cap):
+            searched.append(added.get(space))
+            return search(space, cap)
+        return run
+
+    monkeypatch.setattr(refinement, "avoidance_class", avoidance_class_)
+    monkeypatch.setattr(refinement, "OrbitAvoidance", orbit_avoidance)
+    monkeypatch.setattr(refinement, "find_member", counted(find_member))
+    monkeypatch.setattr(refinement, "death_length", counted(death_length))
+    return searched, built
+
+
 class TestMeetOrAvoid:
     def test_avoid_single_one(self):
         r, case = meet_or_avoid(full_sys(), OpenRequest.static("u", ["1"]))
@@ -194,6 +225,16 @@ class TestMeetOrAvoid:
         r, case = meet_or_avoid(full_sys(), req)
         assert case == "meet"
         assert r.meta["s"] == 3
+
+    @pytest.mark.parametrize("words, want", [(["1"], "avoid"), (["0", "1"], "meet")],
+                             ids=["avoid", "meet"])
+    def test_one_search_of_the_avoidance_class(self, words, want, monkeypatch):
+        # a work guard that counts instead of timing: the death length of the
+        # avoidance tree both decides the case and gives the meet stage
+        searched, _ = record_searches(monkeypatch)
+        _, case = meet_or_avoid(full_sys(), OpenRequest.static("u", words))
+        assert case == want
+        assert len(searched) == 1 and searched[0] is not None
 
     def test_child_systems_valid(self):
         for words in (["1"], ["0", "1"], ["01"]):
@@ -280,6 +321,22 @@ class TestNbhPeriodicity:
         want = nbh_periodicity(ref.child, 2)
         assert (res.avoided, res.b) == (want.avoided, want.b)
 
+    @pytest.mark.parametrize("i, want_b", [(1, 2), (2, 11), (3, 11), (4, 11)])
+    def test_dead_class(self, i, want_b, monkeypatch):
+        # no member of length 16: nothing is avoided, and once some word is a
+        # non-member the class's own death length, searched once, bounds the
+        # return to it
+        sys_ = DynSystem(explicit_class(2, 16, ["0101010101", "1010101010"]), shift(16))
+        assert find_member(sys_.space, 16) is None
+        members = iter_members(sys_.space, i)
+        searched, _ = record_searches(monkeypatch)
+        res = nbh_periodicity(sys_, i)
+        assert (res.avoided, res.b) == ((), want_b)
+        assert searched.count(None) == (len(members) < 2 ** i)
+        assert Counter(list(a.stage)[-1] for a in searched if a is not None) == Counter(members)
+        want = greedy_nbh(sys_, i)
+        assert (res.avoided, res.b) == (want.avoided, want.b)
+
     def test_return_bound_realized(self):
         sys_ = DynSystem(s_orbit(2, 16).space, builtin_map("left-shift", 2, 16))
         res = nbh_periodicity(sys_, 2)
@@ -355,7 +412,7 @@ def shift_invariant_systems(draw):
 
 
 class TestNbhPeriodicityProperties:
-    @given(shift_invariant_systems(), st.integers(1, 3))
+    @given(shift_invariant_systems(), st.integers(1, 6))
     @settings(max_examples=200, deadline=None)
     def test_matches_greedy_loop(self, sys_, i):
         def outcome(fn):
@@ -370,32 +427,23 @@ class TestNbhPeriodicityProperties:
     @pytest.mark.parametrize("rules", [FIBONACCI, THUE_MORSE], ids=["fibonacci", "thue-morse"])
     def test_no_search_for_a_non_member(self, rules, monkeypatch):
         # a work guard that counts instead of timing: forbidding a non-member
-        # word changes no class, so no candidate or death-length search is for one
+        # word changes no class, so no search or avoidance condition is for
+        # one; on a minimal class every member word is rejected, by the one
+        # search that also gives its bound
         sys_ = DynSystem(explicit_class(2, 64, fixed_point_factors(rules, 64)), shift(64))
-        added = {}  # class -> the word its avoidance condition adds
-        searched = []
-
-        def avoidance_class_(base, avoid, name):
-            cls = avoidance_class(base, avoid, name)
-            added[cls] = list(avoid.stage)[-1]
-            return cls
-
-        def counted(search):
-            def run(space, cap):
-                searched.append(added.get(space))
-                return search(space, cap)
-            return run
-
-        monkeypatch.setattr(refinement, "avoidance_class", avoidance_class_)
-        monkeypatch.setattr(refinement, "find_member", counted(find_member))
-        monkeypatch.setattr(refinement, "death_length", counted(death_length))
-        res = nbh_periodicity(sys_, 4)
-        non_members = {w for w in all_words(2, 4) if not sys_.space.member(w)}
-        assert non_members and non_members <= set(res.avoided)
-        assert searched and not non_members & set(searched)
-        assert searched.count(None) <= 1  # the one search of the class itself
-        want = greedy_nbh(sys_, 4)
-        assert (res.avoided, res.b) == (want.avoided, want.b)
+        searched, built = record_searches(monkeypatch)
+        for i in range(4, 9):
+            members = iter_members(sys_.space, i)
+            non_members = set(all_words(2, i)) - set(members)
+            searched.clear()
+            built.clear()
+            res = nbh_periodicity(sys_, i)
+            assert non_members and non_members <= set(res.avoided)
+            assert not any(non_members & a.stage.keys() for a in built)
+            assert searched.count(None) <= 1  # the one search of the class itself
+            assert Counter(list(a.stage)[-1] for a in searched if a is not None) == Counter(members)
+            want = greedy_nbh(sys_, i)
+            assert (res.avoided, res.b) == (want.avoided, want.b)
 
 
 class TestProperties:
