@@ -17,7 +17,9 @@ from cantordyn.minimal import (HaltingSim, build_bit_coder, decode_bit, decode_m
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--bits", type=int, default=6)
-    ap.add_argument("--coldepth", type=int, default=8)
+    ap.add_argument("--coldepth", type=int,
+                    help="depth per column (default: max(8, 2t + 1) for the largest "
+                         "finite entry stage t)")
     ap.add_argument("--max-stage", type=int, default=3)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
@@ -26,6 +28,12 @@ def main():
     bits = tuple((n, rng.choice([None, rng.randint(1, args.max_stage)]))
                  for n in range(args.bits))
     sim = HaltingSim(bits, stage_horizon=max(args.max_stage, 1))
+    # a bit halting at stage t has column period 2t, as in decode-halting
+    least = 2 * max((t for _, t in bits if t is not None), default=0) + 1
+    if args.coldepth is None:
+        args.coldepth = max(8, least)
+    elif args.coldepth < least:
+        ap.error(f"--coldepth must be at least 2t + 1 = {least} for the drawn entry stages")
     print("simulated:", {n: ("inf" if t is None else t) for n, t in bits})
 
     t0 = time.monotonic()

@@ -12,7 +12,7 @@ returns to the root cylinder ``[0]`` have gaps of every length up to ``K``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import HorizonExhausted
 from .maps import builtin_map
@@ -22,8 +22,7 @@ from .systems import (ClosedClass, DynSystem, cylinder_class, full_class, orbit_
 from .words import all_words, is_primitive, periodic_word, rotations
 
 
-@dataclass(frozen=True)
-class SigmaSequence:
+class SigmaSequence(NamedTuple):
     """The block sequence with its repetition counts and cut lengths
     ``c_k = 2k + Σ_{s≤k} |σ_s|``."""
 
@@ -70,8 +69,7 @@ class SigmaSequence:
         return bad
 
 
-@dataclass(frozen=True)
-class DodgeOutcome:
+class DodgeOutcome(NamedTuple):
     case: str                     # "orbit" | "hat"
     system: DynSystem             # the produced system (C, shift)
     orbit_generator: str | None = None

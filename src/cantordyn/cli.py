@@ -18,7 +18,6 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import dataclass
 
 from . import avoidance as avd
 from . import minimal as mnl
@@ -87,13 +86,13 @@ def _json(text: str):
         raise SpecFormatError("invalid JSON: nested too deeply", "json") from None
 
 
-@dataclass
 class SystemSpec:
-    alphabet: int
-    depth: int
-    stage_horizon: int
-    tree: dict
-    map: dict
+    def __init__(self, alphabet: int, depth: int, stage_horizon: int, tree: dict, map: dict):
+        self.alphabet = alphabet
+        self.depth = depth
+        self.stage_horizon = stage_horizon
+        self.tree = tree
+        self.map = map
 
     def build_tree(self) -> ClosedClass:
         kind = self.tree.get("kind")

@@ -16,7 +16,7 @@ orbit class generated by ``(0^t 1^t)^ω``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import NotMinimal, UndecidedAtDepth
 from .maps import builtin_map
@@ -28,21 +28,20 @@ from .words import letters, periodic_word, rotations, words_up_to
 _DECODE_MEMBER_LIMIT = 4096   # decode_members: a wider class is not minimal at depth
 
 
-@dataclass(frozen=True)
-class RemovalStage:
+class RemovalStage(NamedTuple):
     word: str
     pruned: bool
     vacuous: bool
     class_after: ClosedClass
 
 
-@dataclass
 class RemovalChain:
     """The decisions of the greedy chain over the words of length 1..``enum_len``."""
 
-    k: int
-    enum_len: int
-    decisions: list[RemovalStage] = field(default_factory=list)
+    def __init__(self, k: int, enum_len: int, decisions: list[RemovalStage] | None = None):
+        self.k = k
+        self.enum_len = enum_len
+        self.decisions = [] if decisions is None else decisions
 
     @property
     def stages(self) -> list[RemovalStage]:
@@ -205,18 +204,22 @@ def ap_bound_from_minimal(sys_: DynSystem, tau: str) -> int:
     return b
 
 
-@dataclass(frozen=True)
-class HaltingSim:
-    """Finite stand-in for the halting set: each index gets a finite entry
-    stage or ``None`` for never."""
-
+class _HaltingSim(NamedTuple):
     bits: tuple[tuple[int, int | None], ...]
     stage_horizon: int
 
-    def __post_init__(self):
-        for n, t in self.bits:
-            if t is not None and not 1 <= t <= self.stage_horizon:
-                raise ValueError(f"entry stage for bit {n} must be in 1..{self.stage_horizon} or None")
+
+class HaltingSim(_HaltingSim):
+    """Finite stand-in for the halting set: each index gets a finite entry
+    stage or ``None`` for never."""
+
+    __slots__ = ()
+
+    def __new__(cls, bits: tuple[tuple[int, int | None], ...], stage_horizon: int):
+        for n, t in bits:
+            if t is not None and not 1 <= t <= stage_horizon:
+                raise ValueError(f"entry stage for bit {n} must be in 1..{stage_horizon} or None")
+        return super().__new__(cls, bits, stage_horizon)
 
     def stage_of(self, n: int) -> int | None:
         for idx, t in self.bits:
@@ -225,8 +228,7 @@ class HaltingSim:
         raise KeyError(f"no simulated bit {n}")
 
 
-@dataclass(frozen=True)
-class PeriodicOrbitClass:
+class PeriodicOrbitClass(NamedTuple):
     """The ``2·i``-element orbit of ``(0^i 1^i)^ω`` at depth."""
 
     i: int

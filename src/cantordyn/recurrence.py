@@ -22,8 +22,7 @@ a direct scan of that word's orbit and re-verified independently.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import EmptyClassError, HorizonExhausted, ModulusExhausted
 from .maps import CodedMap
@@ -126,8 +125,7 @@ def gadget_recurrent_equals_paths(tree: ClosedClass, scan_depth: int) -> bool:
     return gadget_recurrent_set(tree, scan_depth) == set(iter_members(tree, scan_depth))
 
 
-@dataclass(frozen=True)
-class CoverStage:
+class CoverStage(NamedTuple):
     """Audit record of one construction stage."""
 
     i: int

@@ -17,8 +17,7 @@ original map.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import HorizonExhausted, InconsistentDepth, ModulusExhausted
 from .maps import CodedMap
@@ -142,12 +141,11 @@ def compose(outer: PiecewiseIterate, inner: PiecewiseIterate) -> PiecewiseIterat
     return PiecewiseIterate(l3, b3, f, j3)
 
 
-@dataclass(frozen=True)
-class Refinement:
+class Refinement(NamedTuple):
     child: DynSystem
     cert: PiecewiseIterate
-    case: str = ""
-    meta: dict = field(default_factory=dict)
+    case: str
+    meta: dict
 
 
 def check_refinement_cert(r: Refinement, max_len: int = 12) -> Report:
@@ -186,8 +184,7 @@ def check_piecewise_samples(cert: PiecewiseIterate, against: CodedMap,
     return rep
 
 
-@dataclass(frozen=True)
-class OpenRequest:
+class OpenRequest(NamedTuple):
     """A stagewise enumerated set of strings: ``entries`` are ``(stage, word)``
     pairs, and the set at stage ``s`` holds every word enumerated by then."""
 
@@ -205,8 +202,7 @@ class OpenRequest:
         return RequestAvoidance(f, self)
 
 
-@dataclass(frozen=True)
-class PredicateRequest:
+class PredicateRequest(NamedTuple):
     """An open set given by a decidable predicate on words (stage-free)."""
 
     name: str
@@ -285,8 +281,7 @@ def meet_or_avoid(sys_: DynSystem, request) -> tuple[Refinement, str]:
                       meta={"request": request.name, "s": s, "reach_back": s + 1}), "meet"
 
 
-@dataclass(frozen=True)
-class Phi1Predicate:
+class Phi1Predicate(NamedTuple):
     """A decidable two-place formula with an optional word parameter."""
 
     name: str
@@ -338,8 +333,7 @@ def least_element_forcing(sys_: DynSystem, phi: Phi1Predicate
     return Refinement(child, ref.cert, case="least", meta={"b": b}), ("least", b)
 
 
-@dataclass(frozen=True)
-class NbhResult:
+class NbhResult(NamedTuple):
     system: DynSystem
     b: int
     avoided: tuple[str, ...]
@@ -394,8 +388,7 @@ def nbh_periodicity(sys_: DynSystem, i: int) -> NbhResult:
     return NbhResult(DynSystem(space, f), b, avoided)
 
 
-@dataclass
-class ApStageRecord:
+class ApStageRecord(NamedTuple):
     kind: str                  # "request" | "periodicity"
     label: str
     case: str = ""
@@ -406,11 +399,12 @@ class ApStageRecord:
     avoided: tuple[str, ...] = ()
 
 
-@dataclass
 class ApForcingLog:
-    stages: list[ApStageRecord] = field(default_factory=list)
-    chain: PiecewiseIterate | None = None
-    final: DynSystem | None = None
+    def __init__(self, stages: list[ApStageRecord] | None = None,
+                 chain: PiecewiseIterate | None = None, final: DynSystem | None = None):
+        self.stages = [] if stages is None else stages
+        self.chain = chain
+        self.final = final
 
     def to_json(self):
         return [{"kind": st.kind, "label": st.label, "case": st.case,
@@ -431,6 +425,8 @@ def construct_ap_point(sys_: DynSystem, requests: list[OpenRequest], c_max: int 
     """
     f0 = sys_.map
     N = sys_.depth
+    if c_max >= N:  # the row for cylinder length c needs a gap b >= 1 with c + b <= N
+        raise ValueError(f"c_max {c_max} must be below depth {N} to verify a gap bound")
     chain = trivial_cert(f0)
     cur = DynSystem(sys_.space, chain.induced())
     # the same map one meet factor at a time, for the chain's soundness check

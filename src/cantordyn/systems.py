@@ -13,8 +13,7 @@ them without re-running the constructions that produced them.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .errors import DepthExceeded
 from .maps import CodedMap
@@ -129,16 +128,20 @@ def cylinder_class(base: ClosedClass, words: Iterable[str], name: str) -> Closed
         base, lambda w: any(v.startswith(w) or w.startswith(v) for v in listed), name)
 
 
-@dataclass(frozen=True)
-class DynSystem:
-    """A closed class together with a normalized map acting on it."""
-
+class _DynSystem(NamedTuple):
     space: ClosedClass
     map: CodedMap
 
-    def __post_init__(self):
-        if self.space.k != self.map.k:
+
+class DynSystem(_DynSystem):
+    """A closed class together with a normalized map acting on it."""
+
+    __slots__ = ()
+
+    def __new__(cls, space: ClosedClass, map: CodedMap):
+        if space.k != map.k:
             raise ValueError("alphabet mismatch between class and map")
+        return super().__new__(cls, space, map)
 
     @property
     def k(self) -> int:
@@ -152,23 +155,26 @@ class DynSystem:
         return PointApprox(prefix, self)
 
 
-@dataclass(frozen=True)
-class PointApprox:
-    """A depth-long prefix of a point of the parent system's class."""
-
+class _PointApprox(NamedTuple):
     prefix: str
     system: DynSystem
 
-    def __post_init__(self):
-        if len(self.prefix) != self.system.depth:
+
+class PointApprox(_PointApprox):
+    """A depth-long prefix of a point of the parent system's class."""
+
+    __slots__ = ()
+
+    def __new__(cls, prefix: str, system: DynSystem):
+        if len(prefix) != system.depth:
             raise ValueError("point prefix must have full depth")
+        return super().__new__(cls, prefix, system)
 
     def check_membership(self) -> bool:
         return self.system.space.member(self.prefix)
 
 
-@dataclass(frozen=True)
-class RecCert:
+class RecCert(NamedTuple):
     """Recurrence witnesses: one ``(c, n, l)`` row per cylinder length with
     ``f^n(X↾l) ⪰ X↾c``."""
 
@@ -178,8 +184,7 @@ class RecCert:
         return {"entries": [list(e) for e in self.entries]}
 
 
-@dataclass(frozen=True)
-class APRow:
+class APRow(NamedTuple):
     """One almost-periodicity row: cylinder length ``c``, gap bound ``b``, and
     a witness ``k < b`` for every start ``n`` in the decidable range
     ``0 ≤ n ≤ N − b − c`` (``None`` marks starts with no room at depth)."""
@@ -189,8 +194,7 @@ class APRow:
     witnesses: tuple[int | None, ...]
 
 
-@dataclass(frozen=True)
-class APCert:
+class APCert(NamedTuple):
     rows: tuple[APRow, ...]
 
     def to_json(self):
@@ -199,11 +203,11 @@ class APCert:
                          for r in self.rows]}
 
 
-@dataclass
 class Report:
     """Diagnostic report: a list of (condition, witness, detail) violations."""
 
-    entries: list[tuple[str, str, str]] = field(default_factory=list)
+    def __init__(self, entries: list[tuple[str, str, str]] | None = None):
+        self.entries = [] if entries is None else entries
 
     @property
     def ok(self) -> bool:

@@ -124,7 +124,7 @@ class TestBitCoders:
                 assert cls.member(w) == cls.member(w, stage=horizon), (t, w)
 
     def test_stage_bounds_enforced(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"entry stage for bit 0 must be in 1\.\.8 or None"):
             HaltingSim(((0, 9),), stage_horizon=8)
 
 

@@ -515,6 +515,17 @@ class TestConstructApPoint:
         with pytest.raises(HorizonExhausted):
             construct_ap_point(sys_, reqs, c_max=2)
 
+    def test_cmax_at_depth_refused_before_any_stage(self, monkeypatch):
+        gm = DynSystem(forbidden_window_class(2, 16, ["11"]),
+                       builtin_map("left-shift", 2, 16))
+        X, cert, _ = construct_ap_point(gm, [], c_max=15)
+        assert verify_ap(X, cert)
+        monkeypatch.setattr(refinement, "nbh_periodicity",
+                            lambda *a: pytest.fail("a periodicity stage ran"))
+        for c_max in (16, 18):
+            with pytest.raises(ValueError, match=f"c_max {c_max} must be below depth 16"):
+                construct_ap_point(gm, [], c_max=c_max)
+
     def test_mixed_meets_and_avoids_depth64(self):
         gm = DynSystem(forbidden_window_class(2, 64, ["11"]),
                        builtin_map("left-shift", 2, 64))

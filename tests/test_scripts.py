@@ -51,3 +51,12 @@ def test_script_exits_zero(argv, request):
     done = subprocess.run([sys.executable, *argv], cwd=ROOT, capture_output=True,
                           text=True, timeout=TIMEOUT_S.get(request.node.callspec.id, 300))
     assert done.returncode == 0, done.stderr
+
+
+def test_halting_roundtrip_refuses_short_columns():
+    # seed 0 draws entry stage 4, whose column period 8 needs depth 9
+    done = subprocess.run([sys.executable, "scripts/halting_roundtrip.py", "--bits", "20",
+                           "--max-stage", "4", "--seed", "0", "--coldepth", "8"],
+                          cwd=ROOT, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2
+    assert "--coldepth must be at least 2t + 1 = 9" in done.stderr

@@ -53,6 +53,14 @@ class TestValidateSystem:
     def test_full_shift_clean(self, full_shift12):
         assert validate_system(full_shift12).ok
 
+    def test_alphabet_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="alphabet mismatch between class and map"):
+            DynSystem(full_class(3, 8), builtin_map("left-shift", 2, 8))
+
+    def test_point_needs_full_depth(self, full_shift12):
+        with pytest.raises(ValueError, match="point prefix must have full depth"):
+            full_shift12.point("0" * 11)
+
     def test_zero_words_clean(self):
         sys_ = DynSystem(explicit_class(2, 8, ["0" * 8]),
                          builtin_map("left-shift", 2, 8))
