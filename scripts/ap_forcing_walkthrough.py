@@ -18,6 +18,8 @@ def main():
     ap.add_argument("--depth", type=int, default=64)
     ap.add_argument("--cmax", type=int, default=4)
     args = ap.parse_args()
+    if args.cmax >= args.depth:   # row c needs a gap b >= 1 with c + b <= depth
+        ap.error(f"--cmax must be below --depth {args.depth} to verify a gap bound")
 
     sys_ = DynSystem(forbidden_window_class(2, args.depth, ["11"]),
                      builtin_map("left-shift", 2, args.depth))

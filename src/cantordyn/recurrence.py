@@ -21,12 +21,12 @@ a direct scan of that word's orbit and re-verified independently.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from typing import Callable, NamedTuple
 
 from .errors import EmptyClassError, HorizonExhausted, ModulusExhausted
 from .maps import CodedMap
-from .search import find_member, iter_members, live_nodes
+from .search import find_member, iter_members
 from .systems import (ClosedClass, DynSystem, PointApprox, RecCert, Report, cylinder_class,
                       full_class)
 from .words import letters
@@ -144,7 +144,7 @@ class _StageState:
         self.i = i
         self.precision = i - 1
         self.prev_store = prev_store
-        self.prev_lens = sorted({len(w) for w in prev_store})
+        self.prev_core = _prefix_core(prev_store)
         self._ret: dict[str, int | None] = {}
 
     def ret(self, w: str) -> int | None:
@@ -155,7 +155,9 @@ class _StageState:
             return 0
         if len(w) <= p:
             return None
-        if step := self.f.suffix_step:
+        if (step := self.f.suffix_step) == 1:
+            return n if (n := w.find(w[:p], p)) >= 0 else None
+        if step:
             return next((n for n in range(p, (len(w) - p) // step + 1)
                          if w.startswith(w[:p], n * step)), None)
         got = self._ret.get(w, -1)
@@ -180,7 +182,7 @@ class _StageState:
 
     def qualifies(self, w: str, s: int) -> bool:
         """A proper prefix is in the previous store and ``w`` returns by ``s``."""
-        return (bool(w) and _has_prefix_in(w[:-1], self.prev_store, self.prev_lens)
+        return (bool(w) and _has_prefix_in(w[:-1], self.prev_core)
                 and self.returns_within(w, s))
 
 
@@ -212,16 +214,13 @@ def _store_stage(state: _StageState, s: int, k: int) -> set[str]:
     ``m`` is ``s·step + p``; when the map records no such modulus the cap is
     the working depth.
 
-    The walk's class keeps a word when its parent is not stored and it can
-    still gain a proper prefix in the previous store: the parent has one, is
-    in that store, or the word is a prefix of a word in it.  Every stored word
-    has such a prefix, so the walk never descends below a stored word nor
-    into a subtree with nothing to store, and the node budget counts only
-    words that can reach the previous store.  The walk visits a word right
-    after its parent, so having such a prefix is carried down the path, and
-    on a suffix map so is returning by time ``s``: extending a word to length
-    ``L`` adds only the return time ``(L - p)/step``, when that is an integer
-    in ``[p, s]``, and one comparison decides it."""
+    The walk is a depth-first stack of ``(word, has a proper prefix in the
+    previous store, returns by s)`` entries, and stored words are leaves.  A
+    child is pushed only when it can still gain such a prefix (its parent has
+    one or is in that store, or it is a prefix of a word in it), so the node
+    budget counts only words that can reach the previous store.  On a suffix
+    map a child of length ``L`` adds at most the return time ``(L - p)/step``,
+    when that is an integer in ``[p, s]``: one comparison decides it."""
     p = state.precision
     need = p
     try:
@@ -230,35 +229,27 @@ def _store_stage(state: _StageState, s: int, k: int) -> set[str]:
     except ModulusExhausted:
         need = state.depth
     prev = state.prev_store
-    prev_max = max((len(w) for w in prev), default=0)
-    cap = min(max(need, prev_max + 1, 1), state.depth)
+    cap = min(max(need, max(map(len, prev), default=0) + 1, 1), state.depth)
     reach = {w[:t] for w in prev for t in range(len(w) + 1)}
+    step, alpha = state.f.suffix_step, letters(k)[::-1]
     stored: set[str] = set()
-    anc = [False]       # anc[L]: the path's word of length L has a proper prefix in prev
-
-    def keep(w: str) -> bool:
-        if not w:
-            return True
-        u = w[:-1]
-        if u in stored:
-            return False
-        anc[len(w):] = [anc[len(u)] or u in prev]
-        return anc[-1] or w in reach
-
-    walk = ClosedClass(k, state.depth, keep, name=f"store({state.i})")
-    step = state.f.suffix_step
-    ret = [p == 0]      # ret[L], on a suffix map: the path's word of length L returns by s
     budget = _STORE_NODE_BUDGET
-    for w in live_nodes(walk, cap):
+    stack = [("", False, p == 0)]
+    while stack:
+        u, anc, ret = stack.pop()
         budget -= 1
         if budget <= 0:
             raise HorizonExhausted(f"stage {state.i}: store enumeration budget exceeded")
-        L = len(w)
-        if step and L:
-            n, r = divmod(L - p, step)
-            ret[L:] = [ret[L - 1] or (not r and p <= n <= s and w.endswith(w[:p]))]
-        if anc[L] and (ret[L] if step else state.returns_within(w, s)):
-            stored.add(w)
+        if anc and (ret if step else state.returns_within(u, s)):
+            stored.add(u)
+        elif len(u) < cap:
+            anc = anc or u in prev
+            n, r = divmod(len(u) + 1 - p, step) if step else (0, 1)
+            adds = not r and p <= n <= s       # a child may add return time n
+            for a in alpha:
+                w = u + a
+                if anc or w in reach:
+                    stack.append((w, anc, ret or adds and w.endswith(w[:p])))
     return stored
 
 
@@ -356,44 +347,51 @@ def audit_cover_stages(sys_: DynSystem, stages: list[CoverStage]) -> Report:
     """
     f = sys_.map
     rep = Report()
+    cores = [_prefix_core(st.U) for st in stages]
     for idx, st in enumerate(stages):
         i, s = st.i, st.s
         p = max(i - 1, 0)
         for tau in st.U:
-            ok = False
             cur = tau
             for n in range(s + 1):
                 if n >= p and len(cur) >= p and cur.startswith(tau[:p]):
-                    ok = True
                     break
                 cur = f.apply(cur) if cur else ""
-            if not ok:
+            else:
                 rep.add("cover-return", tau, f"stage {i}: no return within {s}")
-        ustore, ulens = set(st.U), sorted({len(u) for u in st.U})
         for v in st.V:
             cur = v
-            ok = False
             for n in range(s + 1):
-                if _has_prefix_in(cur, ustore, ulens):
-                    ok = True
+                if _has_prefix_in(cur, cores[idx]):
                     break
                 cur = f.apply(cur) if cur else ""
-            if not ok:
+            else:
                 rep.add("cover-reach", v, f"stage {i}: does not reach U within {s}")
-        vset, vlens = set(st.V), sorted({len(v) for v in st.V})
+        vcore = _prefix_core(st.V)
         for w in iter_members(sys_.space, s):
-            if not _has_prefix_in(w, vset, vlens):
+            if not _has_prefix_in(w, vcore):
                 rep.add("cover-open", w, f"stage {i}: member not covered by V")
         if idx > 0:
-            prev = set(stages[idx - 1].U)
-            plens = sorted({len(q) for q in prev})
             for tau in st.U:
-                if not _has_prefix_in(tau, prev, [t for t in plens if t < len(tau)]):
+                if not (tau and _has_prefix_in(tau[:-1], cores[idx - 1])):
                     rep.add("cover-nesting", tau, f"stage {i}: no strict U_{i-1} ancestor")
     return rep
 
 
-def _has_prefix_in(word: str, store: set[str], lens: list[int]) -> bool:
-    """Whether some element of ``store`` (whose lengths are ``lens``) is a
-    prefix of ``word``: one lookup per stored length."""
-    return any(word[:t] in store for t in lens if t <= len(word))
+def _prefix_core(words) -> list[str]:
+    """The sorted prefix-free core of ``words``: every word that extends
+    another is dropped.  In sorted order a word's extensions follow it, so
+    only the last word kept can be a prefix of the next."""
+    core: list[str] = []
+    for w in sorted(words):
+        if not core or not w.startswith(core[-1]):
+            core.append(w)
+    return core
+
+
+def _has_prefix_in(word: str, core: list[str]) -> bool:
+    """Whether a word of the sorted prefix-free ``core`` is a prefix of
+    ``word``, by its predecessor alone: the words sorted strictly between a
+    prefix ``q`` of ``word`` and ``word`` extend ``q``, so none is in the core."""
+    i = bisect_right(core, word)
+    return i > 0 and word.startswith(core[i - 1])

@@ -70,12 +70,14 @@ def forbidden_window_class(k: int, depth: int, words: Iterable[str]) -> ClosedCl
     forb = sorted(set(words))
     if any(not w for w in forb):
         raise ValueError("empty forbidden word")
-    lens = sorted({len(w) for w in forb})
-    by_len = {t: {w for w in forb if len(w) == t} for t in lens}
-
-    def step(w: str) -> bool:
-        # only windows ending at the new letter can newly fail
-        return not any(len(w) >= t and w[-t:] in by_len[t] for t in lens)
+    fset, lens = frozenset(forb), sorted({len(w) for w in forb})
+    # only windows ending at the new letter can newly fail; a word shorter
+    # than t is its own window, found by the test at its own length if at all
+    if len(lens) == 1:
+        t = lens[0]
+        step = lambda w: w[-t:] not in fset
+    else:
+        step = lambda w: not any(w[-t:] in fset for t in lens)
 
     return ClosedClass(k, depth, step, name=f"sft(~{','.join(forb)})")
 
@@ -199,7 +201,7 @@ class APCert(NamedTuple):
 
     def to_json(self):
         return {"rows": [{"c": r.c, "b": r.b,
-                          "witnesses": [w if w is not None else None for w in r.witnesses]}
+                          "witnesses": list(r.witnesses)}
                          for r in self.rows]}
 
 

@@ -3,16 +3,16 @@ from collections import Counter
 
 import pytest
 from conftest import FIBONACCI, THUE_MORSE, fixed_point_factors
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cantordyn import recurrence
 from cantordyn.errors import HorizonExhausted
 from cantordyn.maps import CodedMap, builtin_map, random_normalized_map
-from cantordyn.recurrence import (_covered, _next_level, _StageState, _store_stage,
-                                  audit_cover_stages, build_ternary_gadget,
-                                  construct_recurrent_point, gadget_recurrent_equals_paths,
-                                  gadget_recurrent_set)
+from cantordyn.recurrence import (_covered, _has_prefix_in, _next_level, _prefix_core,
+                                  _StageState, _store_stage, audit_cover_stages,
+                                  build_ternary_gadget, construct_recurrent_point,
+                                  gadget_recurrent_equals_paths, gadget_recurrent_set)
 from cantordyn.refinement import PiecewiseIterate
 from cantordyn.search import iter_members
 from cantordyn.systems import (ClosedClass, DynSystem, explicit_class,
@@ -363,24 +363,19 @@ class TestConstructRecurrentPoint:
         # a work guard that counts instead of timing, on the golden mean at
         # depth 24: the stage-4 store walk visits only words that can still
         # reach the stage-3 store (30,327 when it visited every word with no
-        # stored prefix), reads suffix-map return times along its path with no
+        # stored prefix), so a node budget of 13,001, root included, holds;
+        # it reads suffix-map return times along its path with no
         # _StageState.ret call, and the covering scan lists each member length
         # once, with no iter_members call (20 when it listed each candidate s)
-        walks, calls, in_store = [], Counter(), [False]
-        real_live, real_ret, real_store = (recurrence.live_nodes, _StageState.ret,
-                                           recurrence._store_stage)
-
-        def live(space, cap):
-            walks.append(0)
-            for w in real_live(space, cap):
-                walks[-1] += 1
-                yield w
+        stores, calls, in_store = [], Counter(), [False]
+        real_ret, real_store = _StageState.ret, recurrence._store_stage
 
         def ret(self, w):
             calls["store ret" if in_store[0] else "ret"] += 1
             return real_ret(self, w)
 
         def store(*args):
+            stores.append(args[0].i)
             in_store[0] = True
             try:
                 return real_store(*args)
@@ -391,7 +386,7 @@ class TestConstructRecurrentPoint:
             calls["iter_members"] += 1
             return iter_members(*args, **kwargs)
 
-        monkeypatch.setattr(recurrence, "live_nodes", live)
+        monkeypatch.setattr(recurrence, "_STORE_NODE_BUDGET", 13_001)
         monkeypatch.setattr(recurrence, "_store_stage", store)
         monkeypatch.setattr(recurrence, "iter_members", members)
         monkeypatch.setattr(_StageState, "ret", ret)
@@ -399,7 +394,7 @@ class TestConstructRecurrentPoint:
         _, _, stages = construct_recurrent_point(sys_, stages=4)
         assert [(len(st.U), len(st.V)) for st in stages] == [
             (1, 1), (2, 2), (6, 5), (62, 34), (1570, 377)]
-        assert len(walks) == 4 and walks[-1] <= 13_000
+        assert stores == [1, 2, 3, 4]
         assert calls["store ret"] == 0 and calls["iter_members"] == 0
 
     @pytest.mark.parametrize("space, stages, want", [
@@ -612,24 +607,63 @@ class TestCoverAudit:
 
     def test_prefix_lookups_match_linear_scans(self, full_shift12):
         # on tampered stages the audit reports exactly what scanning every
-        # stored word for a prefix reports, in the same order
-        _, _, stages = construct_recurrent_point(full_shift12, stages=3, c_max=2)
-        rng = random.Random(5)
-        for _ in range(20):
-            tampered = list(stages)
-            idx = rng.randrange(1, len(stages))
-            st = tampered[idx]
-            U = tuple(w for w in st.U if rng.random() < 0.7) + ("1" * rng.randint(1, 4),)
-            V = tuple(w for w in st.V if rng.random() < 0.7)
-            tampered[idx] = type(st)(st.i, st.s, U, V)
-            got = audit_cover_stages(full_shift12, tampered).entries
-            assert got == _linear_scan_violations(full_shift12, tampered)
+        # stored word for a prefix reports, in the same order, on the full
+        # shift and under a random normalized map; some tampers put the empty
+        # word into U_i, which has no strict U_{i-1} ancestor
+        random_map = DynSystem(full_class(2, 12), random_normalized_map(2, 12, random.Random(3)))
+        for sys_, n_stages in ((full_shift12, 3), (random_map, 2)):
+            _, _, stages = construct_recurrent_point(sys_, stages=n_stages, c_max=n_stages - 1)
+            rng = random.Random(5)
+            for trial in range(20):
+                tampered = list(stages)
+                idx = rng.randrange(1, len(stages))
+                st = tampered[idx]
+                U = tuple(w for w in st.U if rng.random() < 0.7) + ("1" * rng.randint(1, 4),)
+                if trial % 4 == 0:
+                    U = ("",) + U
+                V = tuple(w for w in st.V if rng.random() < 0.7)
+                tampered[idx] = type(st)(st.i, st.s, U, V)
+                got = audit_cover_stages(sys_, tampered).entries
+                assert got == _linear_scan_violations(sys_, tampered)
+                if trial % 4 == 0:
+                    assert ("cover-nesting", "",
+                            f"stage {st.i}: no strict U_{st.i - 1} ancestor") in got
 
     def test_nesting(self, full_shift12):
         _, _, stages = construct_recurrent_point(full_shift12, stages=3, c_max=2)
         for prev, cur in zip(stages, stages[1:]):
             for tau in cur.U:
                 assert any(tau != q and tau.startswith(q) for q in prev.U)
+
+
+@st.composite
+def word_sets_and_words(draw):
+    """Word lists over alphabet 3 (duplicates, extensions and the empty word
+    allowed) and a word, often an extension of a listed one."""
+    words = draw(st.lists(st.text(alphabet="012", max_size=4), max_size=8))
+    tail = draw(st.text(alphabet="012", max_size=3))
+    if words and draw(st.booleans()):
+        return words, draw(st.sampled_from(words)) + tail
+    return words, tail
+
+
+@given(word_sets_and_words())
+@example(([""], ""))
+@example(([""], "01"))
+@example((["0", "01", "01", "1", ""], "0"))
+@settings(max_examples=300, deadline=None)
+def test_core_predecessor_matches_length_scan(case):
+    """The predecessor test on a sorted prefix-free core decides "a listed
+    word is a prefix" as one lookup per listed length does, and its strict
+    form (on the word minus its last letter) "a listed word is a proper
+    prefix", which the empty word never has."""
+    words, w = case
+    core, store, lens = _prefix_core(words), set(words), sorted({len(u) for u in words})
+    assert core == sorted(core) and set(core) <= store
+    assert not any(a != b and b.startswith(a) for a in core for b in core)
+    assert _has_prefix_in(w, core) == any(w[:t] in store for t in lens if t <= len(w))
+    assert (bool(w) and _has_prefix_in(w[:-1], core)) == any(
+        w[:t] in store for t in lens if t < len(w))
 
 
 def _linear_scan_violations(sys_, stages):

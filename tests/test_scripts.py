@@ -60,3 +60,24 @@ def test_halting_roundtrip_refuses_short_columns():
                           cwd=ROOT, capture_output=True, text=True, timeout=60)
     assert done.returncode == 2
     assert "--coldepth must be at least 2t + 1 = 9" in done.stderr
+
+
+def test_ap_forcing_walkthrough_refuses_cmax_at_depth():
+    done = subprocess.run([sys.executable, "scripts/ap_forcing_walkthrough.py", "--depth", "16",
+                           "--cmax", "16"], cwd=ROOT, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2
+    assert "--cmax must be below --depth 16" in done.stderr
+    assert "Traceback" not in done.stderr
+
+
+def test_ab_rounds_checkout_against_itself():
+    # the A/B timer loads this checkout twice under two aliases: every report
+    # matches, and nothing is written under perfbench/
+    before = sorted(p.relative_to(ROOT) for p in (ROOT / "perfbench").rglob("*"))
+    done = subprocess.run([sys.executable, "scripts/ab_rounds.py", str(ROOT), str(ROOT),
+                           "--workload", "halting-minimal", "--seeds", "1", "--rounds", "2"],
+                          cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "reports match apart from timing_ms: yes" in done.stdout
+    assert "seed 1: parent" in done.stdout
+    assert sorted(p.relative_to(ROOT) for p in (ROOT / "perfbench").rglob("*")) == before
