@@ -202,20 +202,3 @@ def builtin_map(kind: str, k: int, depth: int, *, columns: int | None = None) ->
                         shrinking=True, suffix_step=c, name=f"column-shift({c})")
     raise ValueError(f"unsupported builtin map kind {kind!r}")
 
-
-def random_normalized_map(k: int, depth: int, rng) -> CodedMap:
-    """A random shrinking, order-preserving table (used by the test suite).
-
-    Images are grown along one-letter extensions, which makes order
-    preservation structural rather than checked.
-    """
-    alpha = letters(k)
-    tbl = {"": ""}
-    for n in range(depth):
-        for w in all_words(k, n):
-            base = tbl[w]
-            for a in alpha:
-                room = n - len(base)  # |w+a| - 1 - |base|
-                grow = rng.randint(0, min(2, room)) if room > 0 else 0
-                tbl[w + a] = base + "".join(rng.choice(alpha) for _ in range(grow))
-    return CodedMap.from_table(k, depth, tbl, name=f"random({depth})")

@@ -77,17 +77,22 @@ class PiecewiseIterate:
                     return ""
                 return base.iterate(w, j(w[:l]))
 
-            moduli = {0: 0}
-            for t in range(1, base.depth + 1):
-                need = t
+            # one[t] = base.modulus(t), with depth + 1 for an exhausted one;
+            # b passes compose it into the modulus of f^b at every t
+            depth = base.depth
+            one = []
+            for t in range(depth + 1):
                 try:
-                    for _ in range(self.b):
-                        need = base.modulus(need)
+                    one.append(base.modulus(t))
                 except ModulusExhausted:
-                    continue
-                need = max(need, l)
-                if need <= base.depth:
-                    moduli[t] = need
+                    one.append(depth + 1)
+            one.append(depth + 1)
+            need = one
+            for _ in range(self.b - 1):
+                need = [one[m] for m in need]
+            moduli = {0: 0}
+            moduli.update((t, max(m, l)) for t, m in enumerate(need)
+                          if t and max(m, l) <= depth)
             drop = (l, lambda w: s * j(w)) if s else None
             self._induced = CodedMap(base.k, base.depth, rule, moduli,
                                      shrinking=base.shrinking, drop=drop,
@@ -170,14 +175,19 @@ def check_refinement_cert(r: Refinement, max_len: int = 12) -> Report:
 
 def check_piecewise_samples(cert: PiecewiseIterate, against: CodedMap,
                             samples: int, seed: int = 0) -> Report:
-    """Sampled cert soundness for depths too wide to scan."""
+    """Sampled cert soundness for depths too wide to scan: each word has a
+    uniform length from ``l`` to the depth, and over two letters is one
+    ``getrandbits`` draw."""
     rep = Report()
     rng = random.Random(seed)
     f = cert.base
     alpha = "012"[: f.k]
     for _ in range(samples):
         n = rng.randint(cert.l, f.depth)
-        w = "".join(rng.choices(alpha, k=n))
+        if f.k == 2:
+            w = format(rng.getrandbits(n), f"0{n}b") if n else ""
+        else:
+            w = "".join(rng.choices(alpha, k=n))
         want = f.iterate(w, cert.j(w[: cert.l]))
         if against.apply(w) != want:
             rep.add("cert-soundness", w, "sampled mismatch")
@@ -247,7 +257,8 @@ def meet_or_avoid(sys_: DynSystem, request) -> tuple[Refinement, str]:
     N = sys_.depth
     space = sys_.space
     avoid = request.make_avoidance(f)
-    d0 = avoidance_class(space, avoid, name=f"{space.name}~{request.name}")
+    # memoized: the avoid child keeps the decisions of the search below
+    d0 = memo_class(avoidance_class(space, avoid, name=f"{space.name}~{request.name}"))
     s = death_length(d0, N)
     if s is None:
         child = DynSystem(d0, f)
@@ -351,8 +362,9 @@ def nbh_periodicity(sys_: DynSystem, i: int) -> NbhResult:
     bounds a rejected one; it is repeated only if a later word is adopted.
 
     Every search restricts one ``memo_class`` of the parent, which asks the
-    parent's child test once per word; the result is built over the parent
-    itself, so the memo lives only as long as the call.  A member's orbit
+    parent's child test once per word for the call.  A candidate's class is
+    searched once, so it gets no memo; the returned class gets its own, since
+    every later stage asks it, and is built over the parent itself.  A member's orbit
     stays in the class, so it never enters the cylinder of a non-member:
     forbidding one changes nothing.  Non-members get no search, and join the
     avoided set if the class reaches full depth, which takes at most one
@@ -382,8 +394,8 @@ def nbh_periodicity(sys_: DynSystem, i: int) -> NbhResult:
     if non_members and not alive:
         s = death_length(parent, N)
         alive, b = s is None, max(b, s or 1)
-    space = sys_.space if not adopted else avoidance_class(
-        sys_.space, OrbitAvoidance(f, adopted), name=f"{sys_.space.name}·nbh({i})")
+    space = sys_.space if not adopted else memo_class(avoidance_class(
+        sys_.space, OrbitAvoidance(f, adopted), name=f"{sys_.space.name}·nbh({i})"))
     avoided = tuple(sorted(adopted + non_members)) if alive else ()
     return NbhResult(DynSystem(space, f), b, avoided)
 

@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from cantordyn.maps import builtin_map
+from cantordyn.maps import CodedMap, builtin_map
 from cantordyn.systems import DynSystem, forbidden_window_class, full_class
+from cantordyn.words import all_words, letters
 
 
 @pytest.fixture
@@ -39,3 +40,21 @@ def fixed_point_factors(rules, n):
     while len(word) < 16 * n:
         word = "".join(rules[a] for a in word)
     return sorted({word[p:p + n] for p in range(16 * n - n + 1)})
+
+
+def random_normalized_map(k: int, depth: int, rng) -> CodedMap:
+    """A random shrinking, order-preserving table.
+
+    Images are grown along one-letter extensions, which makes order
+    preservation structural rather than checked.
+    """
+    alpha = letters(k)
+    tbl = {"": ""}
+    for n in range(depth):
+        for w in all_words(k, n):
+            base = tbl[w]
+            for a in alpha:
+                room = n - len(base)  # |w+a| - 1 - |base|
+                grow = rng.randint(0, min(2, room)) if room > 0 else 0
+                tbl[w + a] = base + "".join(rng.choice(alpha) for _ in range(grow))
+    return CodedMap.from_table(k, depth, tbl, name=f"random({depth})")

@@ -10,10 +10,11 @@ import random
 import time
 
 import pytest
+from conftest import random_normalized_map
 
 from cantordyn.avoidance import build_dodging_class, verify_not_ap
 from cantordyn.cli import main
-from cantordyn.maps import builtin_map, random_normalized_map
+from cantordyn.maps import builtin_map
 from cantordyn.minimal import (HaltingSim, ap_bound_from_minimal,
                                build_bit_coder, decode_bit, decode_members,
                                minimal_subsystem, product_system, s_orbit)

@@ -9,7 +9,10 @@ files, only when a change of output is intended, with::
 """
 
 import json
+import os
 import re
+import subprocess
+import sys
 from itertools import product
 from pathlib import Path
 
@@ -141,6 +144,32 @@ def run_job(name: str, workdir: Path) -> str:
 def test_report_matches_golden(name, tmp_path):
     want = (GOLDEN_DIR / f"{name}.json").read_text(encoding="utf-8")
     assert run_job(name, tmp_path) == want
+
+
+# writes every job's report into the directory given as its argument
+_ALL_JOBS = """
+import sys
+from pathlib import Path
+from test_golden_reports import JOBS, run_job
+work = Path(sys.argv[1])
+for name in sorted(JOBS):
+    (work / f"{name}.report").write_text(run_job(name, work), encoding="utf-8")
+"""
+
+
+@pytest.mark.parametrize("hashseed", ["1", "12345"])
+def test_reports_match_golden_under_hash_seed(hashseed, tmp_path):
+    # string hashes vary with PYTHONHASHSEED, and so does set order: no
+    # report may depend on it
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join([str(src), str(GOLDEN_DIR.parent)])
+    env = {**os.environ, "PYTHONHASHSEED": hashseed, "PYTHONPATH": path}
+    subprocess.run([sys.executable, "-c", _ALL_JOBS, str(tmp_path)], env=env, check=True,
+                   timeout=300)
+    differ = [name for name in sorted(JOBS)
+              if (tmp_path / f"{name}.report").read_text(encoding="utf-8")
+              != (GOLDEN_DIR / f"{name}.json").read_text(encoding="utf-8")]
+    assert differ == []
 
 
 if __name__ == "__main__":

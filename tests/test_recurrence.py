@@ -2,13 +2,13 @@ import random
 from collections import Counter
 
 import pytest
-from conftest import FIBONACCI, THUE_MORSE, fixed_point_factors
+from conftest import FIBONACCI, THUE_MORSE, fixed_point_factors, random_normalized_map
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cantordyn import recurrence
 from cantordyn.errors import HorizonExhausted
-from cantordyn.maps import CodedMap, builtin_map, random_normalized_map
+from cantordyn.maps import CodedMap, builtin_map
 from cantordyn.recurrence import (_covered, _has_prefix_in, _next_level, _prefix_core,
                                   _StageState, _store_stage, audit_cover_stages,
                                   build_ternary_gadget, construct_recurrent_point,

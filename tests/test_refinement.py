@@ -3,12 +3,12 @@ import random
 from collections import Counter
 
 import pytest
-from conftest import FIBONACCI, THUE_MORSE, fixed_point_factors
+from conftest import FIBONACCI, THUE_MORSE, fixed_point_factors, random_normalized_map
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cantordyn import refinement
-from cantordyn.errors import HorizonExhausted
+from cantordyn.errors import HorizonExhausted, ModulusExhausted
 from cantordyn.maps import CodedMap, builtin_map
 from cantordyn.minimal import s_orbit
 from cantordyn.refinement import (NbhResult, OpenRequest, Phi1Predicate,
@@ -31,6 +31,30 @@ def shift(depth=N):
 
 def full_sys(depth=N):
     return DynSystem(full_class(2, depth), shift(depth))
+
+
+# the requests of the criterion-9 golden job (ap-point-c9-64)
+C9_REQUESTS = [OpenRequest.static("u0", ["0"]), OpenRequest.static("u1", ["01"]),
+               OpenRequest.static("u2", ["10"]), OpenRequest.static("u3", ["00"]),
+               OpenRequest("u4", ((0, "000"), (4, "010")))]
+
+
+def per_t_moduli(cert):
+    """The induced map's moduli by ``b`` bisects per output length: the
+    oracle for the one-pass table of :meth:`PiecewiseIterate.induced`."""
+    base = cert.base
+    moduli = {0: 0}
+    for t in range(1, base.depth + 1):
+        need = t
+        try:
+            for _ in range(cert.b):
+                need = base.modulus(need)
+        except ModulusExhausted:
+            continue
+        need = max(need, cert.l)
+        if need <= base.depth:
+            moduli[t] = need
+    return moduli
 
 
 class TestInducedMap:
@@ -57,6 +81,26 @@ class TestInducedMap:
         cert = PiecewiseIterate(1, 1, shift(), lambda w: 2)
         with pytest.raises(ValueError):
             cert.induced().apply("01")
+
+    @pytest.mark.parametrize("depth", [64, 256])
+    def test_moduli_of_the_criterion_9_chain(self, depth):
+        # the moduli depend on l, b and the base alone; at N=64 the lengths
+        # past 28 are exhausted
+        cert = PiecewiseIterate(39, 36, shift(depth), lambda w: 1)
+        got = cert.induced().moduli
+        assert got == per_t_moduli(cert)
+        assert len(got) == depth - 35
+
+    @given(st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_moduli_match_per_length_bisects(self, seed):
+        inner, outer = random_cert_pair(seed)
+        rng = random.Random(seed)
+        base = random_normalized_map(2, 7, rng)
+        l, b = rng.randint(0, 3), rng.randint(1, 4)
+        odd = PiecewiseIterate(l, b, base, lambda w: 1)  # exhausted moduli likely
+        for cert in (inner, outer, odd):
+            assert cert.induced().moduli == per_t_moduli(cert)
 
     def test_freed_without_cyclic_gc(self):
         # the induced map must not refer back to its certificate, or both
@@ -133,8 +177,9 @@ class TestCompose:
 
 def record_searches(monkeypatch):
     """Patch the refinement module's searches to log each one: the avoidance
-    condition its class was built with (None for a class built otherwise).
-    Also returns every ``OrbitAvoidance`` the module builds, in order."""
+    condition its class was built with (None for a class built otherwise);
+    a memo of such a class keeps its condition.  Also returns every
+    ``OrbitAvoidance`` the module builds, in order."""
     added = {}  # class -> its avoidance condition
     searched = []
     built = []
@@ -142,6 +187,12 @@ def record_searches(monkeypatch):
     def avoidance_class_(base, avoid, name):
         cls = avoidance_class(base, avoid, name)
         added[cls] = avoid
+        return cls
+
+    def memo_class_(base):
+        cls = memo_class(base)
+        if base in added:
+            added[cls] = added[base]
         return cls
 
     def orbit_avoidance(f, forbidden):
@@ -156,6 +207,7 @@ def record_searches(monkeypatch):
         return run
 
     monkeypatch.setattr(refinement, "avoidance_class", avoidance_class_)
+    monkeypatch.setattr(refinement, "memo_class", memo_class_)
     monkeypatch.setattr(refinement, "OrbitAvoidance", orbit_avoidance)
     monkeypatch.setattr(refinement, "find_member", counted(find_member))
     monkeypatch.setattr(refinement, "death_length", counted(death_length))
@@ -529,14 +581,33 @@ class TestConstructApPoint:
     def test_mixed_meets_and_avoids_depth64(self):
         gm = DynSystem(forbidden_window_class(2, 64, ["11"]),
                        builtin_map("left-shift", 2, 64))
-        reqs = [OpenRequest.static("u0", ["0"]), OpenRequest.static("u1", ["01"]),
-                OpenRequest.static("u2", ["10"]), OpenRequest.static("u3", ["00"]),
-                OpenRequest("u4", ((0, "000"), (4, "010")))]
-        X, cert, log = construct_ap_point(gm, reqs, c_max=4)
+        X, cert, log = construct_ap_point(gm, C9_REQUESTS, c_max=4)
         assert verify_ap(X, cert)
         cases = [st.case for st in log.stages if st.kind == "request"]
         assert "meet" in cases and "avoid" in cases
         assert check_piecewise_samples(log.chain, log.final.map, 150, seed=2).ok
+        assert (log.chain.l, log.chain.b) == (39, 36)
+        assert log.chain.induced().moduli == per_t_moduli(log.chain)
+
+    def test_kept_layers_decide_each_word_once(self):
+        # a work guard that counts instead of timing: the avoid children and
+        # the adopted periodicity classes are memoized, so later stages do not
+        # ask the base class again for the words an earlier layer decided.
+        # Most of the 71 words are asked twice (by a periodicity call's memo
+        # and by the class it returns); the meet's exponent asks membership
+        # of its lookup words near the root again: 144 asks, 486 unmemoized
+        gm = forbidden_window_class(2, 64, ["11"])
+        asked = Counter()
+
+        def step(w):
+            asked[w] += 1
+            return gm.member_step(w)
+
+        counted = DynSystem(ClosedClass(2, 64, step, name="counted"), shift(64))
+        X, cert, log = construct_ap_point(counted, C9_REQUESTS, c_max=4)
+        assert verify_ap(X, cert)
+        assert len(asked) == 71 and sum(asked.values()) <= 144
+        assert sorted(asked.values())[len(asked) // 2] == 2
 
     def test_sampled_check_catches_a_wrong_map(self):
         # one meet whose landing exponent is 1 or 2: "010…" lands on "0" in two steps
@@ -551,3 +622,41 @@ class TestConstructApPoint:
         assert all(chain.l <= len(w) <= 32 for _, w, _ in rep.entries)
         assert rep.entries == check_piecewise_samples(chain, sys_.map, 200, seed=5).entries
         assert rep.entries != check_piecewise_samples(chain, sys_.map, 200, seed=6).entries
+
+
+class _Recorder:
+    """A map stand-in that logs the words it is applied to."""
+
+    def __init__(self, m):
+        self.m, self.words = m, []
+
+    def apply(self, w):
+        self.words.append(w)
+        return self.m.apply(w)
+
+
+class TestSampledCheck:
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_reports_an_exponent_off_by_one(self, k):
+        # the mutant's exponent is one too large on every lookup word that
+        # starts with 1
+        f = builtin_map("left-shift", k, 16)
+        cert = PiecewiseIterate(2, 4, f, lambda w: 1 + (w[1] != "0"))
+        mutant = PiecewiseIterate(2, 4, f, lambda w: 1 + (w[1] != "0") + (w[0] == "1"))
+        for seed in range(10):
+            assert check_piecewise_samples(cert, cert.induced(), 200, seed=seed).ok
+            against = _Recorder(mutant.induced())
+            rep = check_piecewise_samples(cert, against, 200, seed=seed)
+            assert not rep.ok
+            assert all(w.startswith("1") for _, w, _ in rep.entries)
+            assert len(against.words) == 200
+            assert all(2 <= len(w) <= 16 and set(w) <= set("012"[:k]) for w in against.words)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_lengths_from_l_to_depth(self, k):
+        # lookup length 0: the empty word is drawn as itself
+        f = builtin_map("left-shift", k, 3)
+        against = _Recorder(f)
+        check_piecewise_samples(PiecewiseIterate(0, 1, f, lambda w: 1), against, 200)
+        assert len(against.words) == 200
+        assert {len(w) for w in against.words} == {0, 1, 2, 3}

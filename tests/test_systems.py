@@ -1,11 +1,12 @@
 import random
 
 import pytest
+from conftest import random_normalized_map
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cantordyn.errors import DepthExceeded
-from cantordyn.maps import CodedMap, builtin_map, random_normalized_map
+from cantordyn.maps import CodedMap, builtin_map
 from cantordyn.minimal import HaltingSim, build_bit_coder, product_system
 from cantordyn.search import (OrbitAvoidance, avoidance_class, death_length,
                               find_member, iter_members, live_nodes)

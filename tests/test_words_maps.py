@@ -2,10 +2,11 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from conftest import random_normalized_map
 from hypothesis import strategies as st
 
 from cantordyn.errors import DepthExceeded, ModulusExhausted
-from cantordyn.maps import CodedMap, builtin_map, normalize, random_normalized_map
+from cantordyn.maps import CodedMap, builtin_map, normalize
 from cantordyn.refinement import PiecewiseIterate
 from cantordyn.words import (all_words, is_prefix, is_primitive, letters,
                              periodic_word, rotations, words_up_to)
