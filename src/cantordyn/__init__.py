@@ -19,9 +19,9 @@ from .systems import (APCert, APRow, ClosedClass, DynSystem, PointApprox,
 from .recurrence import (CoverStage, audit_cover_stages,
                          build_ternary_gadget, construct_recurrent_point,
                          gadget_recurrent_equals_paths, gadget_recurrent_set)
-from .minimal import (HaltingSim, PeriodicOrbitClass, RemovalChain,
-                      ap_bound_from_minimal, build_bit_coder, decode_bit,
-                      decode_members, minimal_subsystem, product_system, s_orbit)
+from .minimal import (HaltingSim, RemovalChain, ap_bound_from_minimal,
+                      build_bit_coder, decode_bit, decode_members,
+                      minimal_subsystem, product_system)
 from .avoidance import (DodgeOutcome, SigmaSequence, build_dodging_class,
                         enumerate_periodic_points, verify_not_ap)
 from .refinement import (OpenRequest, Phi1Predicate, PiecewiseIterate,

@@ -23,7 +23,7 @@ from .maps import builtin_map
 from .search import (OrbitAvoidance, avoidance_class, death_length,
                      find_member, iter_members)
 from .systems import ClosedClass, DynSystem, orbit_class
-from .words import letters, periodic_word, rotations, words_up_to
+from .words import letters, words_up_to
 
 _DECODE_MEMBER_LIMIT = 4096   # decode_members: a wider class is not minimal at depth
 
@@ -228,20 +228,6 @@ class HaltingSim(_HaltingSim):
         raise KeyError(f"no simulated bit {n}")
 
 
-class PeriodicOrbitClass(NamedTuple):
-    """The ``2·i``-element orbit of ``(0^i 1^i)^ω`` at depth."""
-
-    i: int
-    members: tuple[str, ...]
-    space: ClosedClass
-
-
-def s_orbit(i: int, depth: int) -> PeriodicOrbitClass:
-    gen = "0" * i + "1" * i
-    members = tuple(sorted(periodic_word(r, depth) for r in rotations(gen)))
-    return PeriodicOrbitClass(i, members, orbit_class(gen, 2, depth))
-
-
 def build_bit_coder(n: int, sim: HaltingSim, depth: int) -> ClosedClass:
     """Stagewise class coding one simulated bit.
 
@@ -251,21 +237,21 @@ def build_bit_coder(n: int, sim: HaltingSim, depth: int) -> ClosedClass:
     """
     t = sim.stage_of(n)
     horizon = sim.stage_horizon
-    orbit = None if t is None else {v[:i] for v in s_orbit(t, depth).members for i in range(depth + 1)}
+    orbit = None if t is None else orbit_class("0" * t + "1" * t, 2, depth).member_step
     cap = horizon if t is None else min(horizon, t - 1)
 
     def member_at(w: str, s: int) -> bool:
         head = w[:s if t is None else min(s, t - 1)]
         if sum(map(str.__ne__, head, head[1:])) > 1:   # not of shape 0^a 1^b or 1^a 0^b
             return False
-        return t is None or s < t or w in orbit
+        return t is None or s < t or orbit(w)
 
     def step(w: str) -> bool:
         # member_at(w, horizon) given w[:-1]: only the last letter can switch
         # a second time, or leave the orbit's prefixes
         if 2 < len(w) <= cap and w[-1] != w[-2] and w[0] != w[-2]:
             return False
-        return orbit is None or w in orbit
+        return orbit is None or orbit(w)
 
     return ClosedClass(2, depth, step, member_at=member_at,
                        name=f"bit{n}(t={'inf' if t is None else t})")

@@ -21,7 +21,7 @@ a direct scan of that word's orbit and re-verified independently.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from typing import Callable, NamedTuple
 
 from .errors import EmptyClassError, HorizonExhausted, ModulusExhausted
@@ -29,7 +29,7 @@ from .maps import CodedMap
 from .search import find_member, iter_members
 from .systems import (ClosedClass, DynSystem, PointApprox, RecCert, Report, cylinder_class,
                       full_class)
-from .words import letters
+from .words import has_prefix_in, is_prefix_in, letters, prefix_core
 
 _STAGE_ENUM_CAP = 18          # a covering scan lists at most 2^18 members, of length ≤ 18
 _STORE_NODE_BUDGET = 2_000_000
@@ -144,7 +144,7 @@ class _StageState:
         self.i = i
         self.precision = i - 1
         self.prev_store = prev_store
-        self.prev_core = _prefix_core(prev_store)
+        self.prev_core = prefix_core(prev_store)
         self._ret: dict[str, int | None] = {}
 
     def ret(self, w: str) -> int | None:
@@ -182,7 +182,7 @@ class _StageState:
 
     def qualifies(self, w: str, s: int) -> bool:
         """A proper prefix is in the previous store and ``w`` returns by ``s``."""
-        return (bool(w) and _has_prefix_in(w[:-1], self.prev_core)
+        return (bool(w) and has_prefix_in(w[:-1], self.prev_core)
                 and self.returns_within(w, s))
 
 
@@ -230,7 +230,7 @@ def _store_stage(state: _StageState, s: int, k: int) -> set[str]:
         need = state.depth
     prev = state.prev_store
     cap = min(max(need, max(map(len, prev), default=0) + 1, 1), state.depth)
-    reach = {w[:t] for w in prev for t in range(len(w) + 1)}
+    reach = sorted(prev)
     step, alpha = state.f.suffix_step, letters(k)[::-1]
     stored: set[str] = set()
     budget = _STORE_NODE_BUDGET
@@ -248,7 +248,7 @@ def _store_stage(state: _StageState, s: int, k: int) -> set[str]:
             adds = not r and p <= n <= s       # a child may add return time n
             for a in alpha:
                 w = u + a
-                if anc or w in reach:
+                if anc or is_prefix_in(w, reach):
                     stack.append((w, anc, ret or adds and w.endswith(w[:p])))
     return stored
 
@@ -347,7 +347,7 @@ def audit_cover_stages(sys_: DynSystem, stages: list[CoverStage]) -> Report:
     """
     f = sys_.map
     rep = Report()
-    cores = [_prefix_core(st.U) for st in stages]
+    cores = [prefix_core(st.U) for st in stages]
     for idx, st in enumerate(stages):
         i, s = st.i, st.s
         p = max(i - 1, 0)
@@ -362,36 +362,18 @@ def audit_cover_stages(sys_: DynSystem, stages: list[CoverStage]) -> Report:
         for v in st.V:
             cur = v
             for n in range(s + 1):
-                if _has_prefix_in(cur, cores[idx]):
+                if has_prefix_in(cur, cores[idx]):
                     break
                 cur = f.apply(cur) if cur else ""
             else:
                 rep.add("cover-reach", v, f"stage {i}: does not reach U within {s}")
-        vcore = _prefix_core(st.V)
+        vcore = prefix_core(st.V)
         for w in iter_members(sys_.space, s):
-            if not _has_prefix_in(w, vcore):
+            if not has_prefix_in(w, vcore):
                 rep.add("cover-open", w, f"stage {i}: member not covered by V")
         if idx > 0:
             for tau in st.U:
-                if not (tau and _has_prefix_in(tau[:-1], cores[idx - 1])):
+                if not (tau and has_prefix_in(tau[:-1], cores[idx - 1])):
                     rep.add("cover-nesting", tau, f"stage {i}: no strict U_{i-1} ancestor")
     return rep
 
-
-def _prefix_core(words) -> list[str]:
-    """The sorted prefix-free core of ``words``: every word that extends
-    another is dropped.  In sorted order a word's extensions follow it, so
-    only the last word kept can be a prefix of the next."""
-    core: list[str] = []
-    for w in sorted(words):
-        if not core or not w.startswith(core[-1]):
-            core.append(w)
-    return core
-
-
-def _has_prefix_in(word: str, core: list[str]) -> bool:
-    """Whether a word of the sorted prefix-free ``core`` is a prefix of
-    ``word``, by its predecessor alone: the words sorted strictly between a
-    prefix ``q`` of ``word`` and ``word`` extend ``q``, so none is in the core."""
-    i = bisect_right(core, word)
-    return i > 0 and word.startswith(core[i - 1])

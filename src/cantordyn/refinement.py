@@ -25,7 +25,7 @@ from .search import (OrbitAvoidance, PredicateAvoidance, avoidance_class,
                      death_length, find_member, iter_members)
 from .systems import (APCert, APRow, DynSystem, PointApprox, Report,
                       memo_class, restrict_class, search_ap_row)
-from .words import all_words, words_up_to
+from .words import all_words, has_prefix_in, prefix_core, words_up_to
 
 
 class PiecewiseIterate:
@@ -268,10 +268,10 @@ def meet_or_avoid(sys_: DynSystem, request) -> tuple[Refinement, str]:
     targets = request.short_elements(s, sys_.k)
     if not targets:
         raise HorizonExhausted(f"meet case with no short elements at stage {s}")
-    tset = sorted(set(targets))
+    core = prefix_core(targets)
 
     def d1_pred(w: str) -> bool:
-        return len(w) < s or any(w.startswith(t) for t in tset)
+        return len(w) < s or has_prefix_in(w, core)
 
     d1 = restrict_class(space, d1_pred, name=f"{space.name}→{request.name}")
     l = f.modulus(s)
@@ -282,7 +282,7 @@ def meet_or_avoid(sys_: DynSystem, request) -> tuple[Refinement, str]:
         cur = w
         for k in range(1, s + 2):
             cur = f.apply(cur)
-            if any(cur.startswith(t) for t in tset):
+            if has_prefix_in(cur, core):
                 return k
         raise HorizonExhausted(f"no landing exponent for {w!r} within {s + 1}")
 

@@ -17,7 +17,7 @@ from typing import Callable, Iterable, NamedTuple
 
 from .errors import DepthExceeded
 from .maps import CodedMap
-from .words import is_prefix, periodic_word, rotations
+from .words import has_prefix_in, is_prefix_in, periodic_word, prefix_core, rotations
 
 
 class ClosedClass:
@@ -84,8 +84,8 @@ def forbidden_window_class(k: int, depth: int, words: Iterable[str]) -> ClosedCl
 
 def explicit_class(k: int, depth: int, nodes: Iterable[str]) -> ClosedClass:
     """Prefix closure of an explicit node list."""
-    prefixes = {v[:i] for v in nodes for i in range(len(v) + 1)}
-    return ClosedClass(k, depth, prefixes.__contains__, name="explicit")
+    listed = sorted(set(nodes))
+    return ClosedClass(k, depth, lambda w: is_prefix_in(w, listed), name="explicit")
 
 
 def stagewise_class(k: int, depth: int, removals: Iterable[tuple[int, str]],
@@ -95,7 +95,7 @@ def stagewise_class(k: int, depth: int, removals: Iterable[tuple[int, str]],
     removed = {w for s, w in sched if s <= stage_horizon}
 
     def member_at(w: str, s: int) -> bool:
-        return not any(st <= s and is_prefix(node, w) for st, node in sched)
+        return not any(st <= s and w.startswith(node) for st, node in sched)
 
     return ClosedClass(k, depth, lambda w: w not in removed, member_at=member_at,
                        name="stagewise")
@@ -118,16 +118,19 @@ def restrict_class(base: ClosedClass, step: Callable[[str], bool], name: str) ->
 def memo_class(base: ClosedClass) -> ClosedClass:
     """``base`` with its child test asked once per word.  Sound for searches:
     they ask the test only when every proper prefix passed, and there it is a
-    function of the word alone."""
+    function of the word alone.  A class whose test is already cached comes
+    back as it is: a memo of a memo holds the same answers."""
+    if hasattr(base._step, "cache_info"):
+        return base
     return ClosedClass(base.k, base.depth, functools.cache(base._step), name=base.name)
 
 
 def cylinder_class(base: ClosedClass, words: Iterable[str], name: str) -> ClosedClass:
     """``base`` restricted to the union of the cylinders of ``words``: the
-    words that are a prefix of one of them or extend one."""
-    listed = sorted(set(words))
-    return restrict_class(
-        base, lambda w: any(v.startswith(w) or w.startswith(v) for v in listed), name)
+    words that are a prefix of one of them or extend one.  A listed word's
+    ancestor in their prefix-free core is a prefix of ``w`` or extends it."""
+    core = prefix_core(words)
+    return restrict_class(base, lambda w: is_prefix_in(w, core) or has_prefix_in(w, core), name)
 
 
 class _DynSystem(NamedTuple):

@@ -1,13 +1,16 @@
 """Finite words over a small alphabet.
 
 Words are plain Python strings over the characters ``'0'``, ``'1'``, ``'2'``.
-The empty word is ``""``.  The prefix order is :func:`is_prefix`; plain string
-comparison gives the lexicographic order used for tie-breaking.
+The empty word is ``""``.  The prefix order is ``str.startswith``; plain
+string comparison gives the lexicographic order used for tie-breaking, and a
+sorted list answers prefix questions against its words by one bisection,
+since a word's extensions come directly after it in sort order.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, bisect_right
 from typing import Iterator
 
 ALPHABET = "012"
@@ -25,11 +28,6 @@ def check_word(word: str, k: int) -> str:
         if ch not in ok:
             raise ValueError(f"letter {ch!r} not in alphabet of size {k}: {word!r}")
     return word
-
-
-def is_prefix(prefix: str, word: str) -> bool:
-    """True iff ``prefix`` ⪯ ``word``."""
-    return word.startswith(prefix)
 
 
 def all_words(k: int, length: int) -> Iterator[str]:
@@ -63,3 +61,29 @@ def periodic_word(generator: str, length: int) -> str:
         raise ValueError("empty generator")
     reps = length // len(generator) + 1
     return (generator * reps)[:length]
+
+
+def prefix_core(words) -> list[str]:
+    """The sorted prefix-free core of ``words``: every word that extends
+    another is dropped.  In sorted order a word's extensions follow it, so
+    only the last word kept can be a prefix of the next."""
+    core: list[str] = []
+    for w in sorted(words):
+        if not core or not w.startswith(core[-1]):
+            core.append(w)
+    return core
+
+
+def has_prefix_in(word: str, core: list[str]) -> bool:
+    """Whether a word of the sorted prefix-free ``core`` is a prefix of
+    ``word``, by its predecessor alone: the words sorted strictly between a
+    prefix ``q`` of ``word`` and ``word`` extend ``q``, so none is in the core."""
+    i = bisect_right(core, word)
+    return i > 0 and word.startswith(core[i - 1])
+
+
+def is_prefix_in(word: str, listed: list[str]) -> bool:
+    """Whether ``word`` is a prefix of a word of the sorted list ``listed``:
+    the first listed word at or after it decides."""
+    i = bisect_left(listed, word)
+    return i < len(listed) and listed[i].startswith(word)

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import strategies as st
 
 from cantordyn.maps import CodedMap, builtin_map
 from cantordyn.systems import DynSystem, forbidden_window_class, full_class
@@ -58,3 +59,14 @@ def random_normalized_map(k: int, depth: int, rng) -> CodedMap:
                 grow = rng.randint(0, min(2, room)) if room > 0 else 0
                 tbl[w + a] = base + "".join(rng.choice(alpha) for _ in range(grow))
     return CodedMap.from_table(k, depth, tbl, name=f"random({depth})")
+
+
+@st.composite
+def word_sets_and_words(draw):
+    """Word lists over alphabet 3 (duplicates, extensions and the empty word
+    allowed) and a word, often an extension of a listed one."""
+    words = draw(st.lists(st.text(alphabet="012", max_size=4), max_size=8))
+    tail = draw(st.text(alphabet="012", max_size=3))
+    if words and draw(st.booleans()):
+        return words, draw(st.sampled_from(words)) + tail
+    return words, tail

@@ -17,7 +17,7 @@ from cantordyn.cli import main
 from cantordyn.maps import builtin_map
 from cantordyn.minimal import (HaltingSim, ap_bound_from_minimal,
                                build_bit_coder, decode_bit, decode_members,
-                               minimal_subsystem, product_system, s_orbit)
+                               minimal_subsystem, product_system)
 from cantordyn.recurrence import (audit_cover_stages, construct_recurrent_point,
                                   gadget_recurrent_equals_paths)
 from cantordyn.refinement import (OpenRequest, Phi1Predicate, PiecewiseIterate,
@@ -28,7 +28,7 @@ from cantordyn.search import iter_members
 from cantordyn.systems import (ClosedClass, DynSystem, explicit_class,
                                forbidden_window_class, full_class, orbit_class,
                                verify_ap, verify_recurrence)
-from cantordyn.words import all_words, periodic_word
+from cantordyn.words import all_words, periodic_word, rotations
 
 
 def criterion(number, budget_s, desc):
@@ -112,7 +112,7 @@ def test_criterion_4_minimality():
     sh = builtin_map("left-shift", 2, N)
     fixtures = [DynSystem(full_class(2, N), sh),
                 DynSystem(forbidden_window_class(2, N, ["11"]), sh),
-                DynSystem(s_orbit(2, N).space, sh)]
+                DynSystem(orbit_class("0011", 2, N), sh)]
     for sys_ in fixtures:
         msys, chain = minimal_subsystem(sys_)
         # every stage shrinks monotonically and keeps a full-depth member
@@ -126,11 +126,12 @@ def test_criterion_4_minimality():
                         reachable.add(u[:t])
         for tau in sorted(reachable):
             assert ap_bound_from_minimal(msys, tau) >= 1   # never NotMinimal
-    s2sys = DynSystem(s_orbit(2, N).space, sh)
+    s2sys = DynSystem(orbit_class("0011", 2, N), sh)
+    s2_members = sorted(periodic_word(r, N) for r in rotations("0011"))
     msys, _ = minimal_subsystem(s2sys)
-    assert iter_members(msys.space, N) == list(s_orbit(2, N).members)
+    assert iter_members(msys.space, N) == s2_members
     for tau in ("00", "01", "10", "11"):
-        if any(tau in w for w in s_orbit(2, N).members):
+        if any(tau in w for w in s2_members):
             assert ap_bound_from_minimal(msys, tau) <= 5
 
 

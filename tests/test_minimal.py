@@ -9,13 +9,18 @@ from cantordyn.maps import builtin_map
 from cantordyn import minimal
 from cantordyn.minimal import (HaltingSim, _column_level, ap_bound_from_minimal,
                                build_bit_coder, decode_bit, decode_members,
-                               minimal_subsystem, product_system, s_orbit)
+                               minimal_subsystem, product_system)
 from cantordyn.search import (OrbitAvoidance, avoidance_class, find_member,
                               iter_members)
 from cantordyn.systems import (ClosedClass, DynSystem, explicit_class,
                                forbidden_window_class, full_class, orbit_class,
                                validate_system)
-from cantordyn.words import all_words, is_prefix, letters, periodic_word, words_up_to
+from cantordyn.words import all_words, letters, periodic_word, rotations, words_up_to
+
+
+def s2_members(depth):
+    """The four points of the orbit of ``(0011)^ω`` at ``depth``, sorted."""
+    return sorted(periodic_word(r, depth) for r in rotations("0011"))
 
 
 def reachable_cylinders(sys_, max_len):
@@ -40,10 +45,9 @@ class TestMinimalSubsystem:
         assert iter_members(msys.space, 12) == ["0" * 12]
 
     def test_s2_already_minimal(self):
-        orb = s_orbit(2, 16)
-        sys_ = DynSystem(orb.space, builtin_map("left-shift", 2, 16))
+        sys_ = DynSystem(orbit_class("0011", 2, 16), builtin_map("left-shift", 2, 16))
         msys, _ = minimal_subsystem(sys_)
-        assert iter_members(msys.space, 16) == list(orb.members)
+        assert iter_members(msys.space, 16) == s2_members(16)
 
     def test_identity_two_points(self):
         sys_ = DynSystem(explicit_class(2, 12, ["0" * 12, "1" * 12]),
@@ -69,7 +73,7 @@ class TestMinimalSubsystem:
 
 class TestApBound:
     def test_s2_bound(self):
-        sys_ = DynSystem(s_orbit(2, 16).space, builtin_map("left-shift", 2, 16))
+        sys_ = DynSystem(orbit_class("0011", 2, 16), builtin_map("left-shift", 2, 16))
         assert ap_bound_from_minimal(sys_, "00") == 5
 
     def test_fixed_point_bound(self):
@@ -101,7 +105,7 @@ class TestBitCoders:
     def test_halting_gives_orbit(self):
         sim = HaltingSim(((0, 2),), stage_horizon=8)
         cls = build_bit_coder(0, sim, 8)
-        assert iter_members(cls, 8) == list(s_orbit(2, 8).members)
+        assert iter_members(cls, 8) == s2_members(8)
 
     def test_t1_gives_s1(self):
         sim = HaltingSim(((0, 1),), stage_horizon=8)
@@ -133,7 +137,7 @@ class TestProductsAndDecode:
         sim = HaltingSim(((0, 2),), stage_horizon=6)
         prod = product_system([build_bit_coder(0, sim, 8)])
         assert prod.map.suffix_step == 1
-        assert iter_members(prod.space, 8) == list(s_orbit(2, 8).members)
+        assert iter_members(prod.space, 8) == s2_members(8)
 
     def test_two_zero_columns_single_point(self):
         cls = explicit_class(2, 4, ["0000"])
@@ -334,7 +338,7 @@ def reference_chain(sys_, enum_len):
     for word in words_up_to(sys_.k, enum_len):
         if not word:
             continue
-        if any(is_prefix(p, word) for p in adopted):
+        if any(word.startswith(p) for p in adopted):
             entries.append((word, True, True, current))
             continue
         decided += 1

@@ -9,7 +9,7 @@ import pytest
 
 from cantordyn.avoidance import DodgeOutcome, SigmaSequence
 from cantordyn.maps import builtin_map
-from cantordyn.minimal import HaltingSim, PeriodicOrbitClass, RemovalStage
+from cantordyn.minimal import HaltingSim, RemovalStage
 from cantordyn.recurrence import CoverStage
 from cantordyn.refinement import (ApStageRecord, NbhResult, OpenRequest, Phi1Predicate,
                                   PredicateRequest, Refinement, trivial_cert)
@@ -31,7 +31,6 @@ RECORDS = {
     "SigmaSequence": lambda: SigmaSequence(("00", "001"), (2, 1)),
     "DodgeOutcome": lambda: DodgeOutcome("orbit", SYS, orbit_generator="0"),
     "RemovalStage": lambda: RemovalStage("0", True, False, CLS),
-    "PeriodicOrbitClass": lambda: PeriodicOrbitClass(1, ("0101", "1010"), CLS),
     "CoverStage": lambda: CoverStage(1, 2, ("0",), ("1",)),
     "Refinement": lambda: Refinement(SYS, CERT, "avoid", {"request": "u"}),
     "OpenRequest": lambda: OpenRequest("u", ((0, "1"),)),

@@ -3,16 +3,16 @@ from collections import Counter
 
 import pytest
 from conftest import FIBONACCI, THUE_MORSE, fixed_point_factors, random_normalized_map
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cantordyn import recurrence
 from cantordyn.errors import HorizonExhausted
 from cantordyn.maps import CodedMap, builtin_map
-from cantordyn.recurrence import (_covered, _has_prefix_in, _next_level, _prefix_core,
-                                  _StageState, _store_stage, audit_cover_stages,
-                                  build_ternary_gadget, construct_recurrent_point,
-                                  gadget_recurrent_equals_paths, gadget_recurrent_set)
+from cantordyn.recurrence import (_covered, _next_level, _StageState, _store_stage,
+                                  audit_cover_stages, build_ternary_gadget,
+                                  construct_recurrent_point, gadget_recurrent_equals_paths,
+                                  gadget_recurrent_set)
 from cantordyn.refinement import PiecewiseIterate
 from cantordyn.search import iter_members
 from cantordyn.systems import (ClosedClass, DynSystem, explicit_class,
@@ -634,36 +634,6 @@ class TestCoverAudit:
         for prev, cur in zip(stages, stages[1:]):
             for tau in cur.U:
                 assert any(tau != q and tau.startswith(q) for q in prev.U)
-
-
-@st.composite
-def word_sets_and_words(draw):
-    """Word lists over alphabet 3 (duplicates, extensions and the empty word
-    allowed) and a word, often an extension of a listed one."""
-    words = draw(st.lists(st.text(alphabet="012", max_size=4), max_size=8))
-    tail = draw(st.text(alphabet="012", max_size=3))
-    if words and draw(st.booleans()):
-        return words, draw(st.sampled_from(words)) + tail
-    return words, tail
-
-
-@given(word_sets_and_words())
-@example(([""], ""))
-@example(([""], "01"))
-@example((["0", "01", "01", "1", ""], "0"))
-@settings(max_examples=300, deadline=None)
-def test_core_predecessor_matches_length_scan(case):
-    """The predecessor test on a sorted prefix-free core decides "a listed
-    word is a prefix" as one lookup per listed length does, and its strict
-    form (on the word minus its last letter) "a listed word is a proper
-    prefix", which the empty word never has."""
-    words, w = case
-    core, store, lens = _prefix_core(words), set(words), sorted({len(u) for u in words})
-    assert core == sorted(core) and set(core) <= store
-    assert not any(a != b and b.startswith(a) for a in core for b in core)
-    assert _has_prefix_in(w, core) == any(w[:t] in store for t in lens if t <= len(w))
-    assert (bool(w) and _has_prefix_in(w[:-1], core)) == any(
-        w[:t] in store for t in lens if t < len(w))
 
 
 def _linear_scan_violations(sys_, stages):

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from cantordyn import refinement
 from cantordyn.errors import HorizonExhausted, ModulusExhausted
 from cantordyn.maps import CodedMap, builtin_map
-from cantordyn.minimal import s_orbit
 from cantordyn.refinement import (NbhResult, OpenRequest, Phi1Predicate,
                                   PiecewiseIterate, check_piecewise_samples,
                                   check_refinement_cert, compose, construct_ap_point,
@@ -328,7 +327,7 @@ class TestLeastElementForcing:
 
     def test_least_witness_constant_on_child(self):
         phi = Phi1Predicate("one-at", lambda m, t, p: len(t) > m and t[m] == "1")
-        s2 = DynSystem(s_orbit(2, N).space, shift())
+        s2 = DynSystem(orbit_class("0011", 2, N), shift())
         r, (kind, b) = least_element_forcing(s2, phi)
         assert kind == "least"
         for w in iter_members(r.child.space, N):
@@ -390,7 +389,7 @@ class TestNbhPeriodicity:
         assert (res.avoided, res.b) == (want.avoided, want.b)
 
     def test_return_bound_realized(self):
-        sys_ = DynSystem(s_orbit(2, 16).space, builtin_map("left-shift", 2, 16))
+        sys_ = DynSystem(orbit_class("0011", 2, 16), builtin_map("left-shift", 2, 16))
         res = nbh_periodicity(sys_, 2)
         f = sys_.map
         for w in iter_members(res.system.space, 16):
@@ -541,7 +540,7 @@ class TestConstructApPoint:
         assert set(X.prefix) <= {"0", "1"}
 
     def test_s2_bounded_rows(self):
-        sys_ = DynSystem(s_orbit(2, 24).space, builtin_map("left-shift", 2, 24))
+        sys_ = DynSystem(orbit_class("0011", 2, 24), builtin_map("left-shift", 2, 24))
         X, cert, log = construct_ap_point(
             sys_, [OpenRequest.static("u", ["0011"])], c_max=4)
         assert verify_ap(X, cert)

@@ -1,7 +1,8 @@
 import random
+import tracemalloc
 
 import pytest
-from conftest import random_normalized_map
+from conftest import THUE_MORSE, fixed_point_factors, random_normalized_map, word_sets_and_words
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,8 +13,8 @@ from cantordyn.search import (OrbitAvoidance, avoidance_class, death_length,
                               find_member, iter_members, live_nodes)
 from cantordyn.systems import (APCert, APRow, DynSystem, PointApprox, RecCert,
                                Report, cylinder_class, explicit_class,
-                               forbidden_window_class, full_class, orbit_class,
-                               rec_cert_from_ap, search_ap_row, stagewise_class,
+                               forbidden_window_class, full_class, memo_class,
+                               orbit_class, rec_cert_from_ap, search_ap_row, stagewise_class,
                                validate_system, verify_ap, verify_recurrence)
 from cantordyn.words import all_words, periodic_word, words_up_to
 
@@ -329,6 +330,43 @@ def test_member_matches_full_definition(case):
         for s in range(HORIZON + 1):
             for w in words_up_to(2, MEMBER_DEPTH):
                 assert cls.member(w, stage=s) == ref_at(w, s), (w, s)
+
+
+# -- prefix tests against listed words, against the sets and scans they replaced
+
+@given(word_sets_and_words())
+@settings(max_examples=300, deadline=None)
+def test_listed_classes_match_closure_and_scan(case):
+    """``explicit_class`` is the prefix closure of its nodes, and
+    ``cylinder_class`` keeps the words comparable with a listed word."""
+    words, w = case
+    closure = {v[:i] for v in words for i in range(len(v) + 1)}
+    explicit = explicit_class(3, 8, words)
+    cyl = cylinder_class(full_class(3, 8), words, "cyl")
+    for u in {w, w[:-1], w + "0", w + "2", ""}:
+        assert explicit.member_step(u) == (u in closure), u
+        assert explicit.member(u) == (u in closure), u
+        assert cyl.member_step(u) == any(v.startswith(u) or u.startswith(v) for v in words), u
+
+
+def test_explicit_class_memory_is_linear():
+    """The Thue–Morse factors of length 512 are listed once, not with every
+    prefix of every factor (169 MiB as a prefix-closure set)."""
+    nodes = fixed_point_factors(THUE_MORSE, 512)
+    tracemalloc.start()
+    try:
+        cls = explicit_class(2, 512, nodes)
+        assert cls.member(nodes[0]) and not cls.member("000")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20, peak
+
+
+def test_memo_of_a_memo_is_itself():
+    base = forbidden_window_class(2, 8, ["11"])
+    memo = memo_class(base)
+    assert memo is not base and memo_class(memo) is memo
 
 
 # -- validation in one pass, against the loop it replaced --------------------

@@ -1,15 +1,15 @@
 import random
 
 import pytest
-from hypothesis import given, settings
-from conftest import random_normalized_map
+from hypothesis import example, given, settings
+from conftest import random_normalized_map, word_sets_and_words
 from hypothesis import strategies as st
 
 from cantordyn.errors import DepthExceeded, ModulusExhausted
 from cantordyn.maps import CodedMap, builtin_map, normalize
 from cantordyn.refinement import PiecewiseIterate
-from cantordyn.words import (all_words, is_prefix, is_primitive, letters,
-                             periodic_word, rotations, words_up_to)
+from cantordyn.words import (all_words, has_prefix_in, is_prefix_in, is_primitive, letters,
+                             periodic_word, prefix_core, rotations, words_up_to)
 
 
 def small_maps():
@@ -23,12 +23,46 @@ binary_words6 = st.text(alphabet="01", max_size=6)
 def test_words_helpers():
     assert list(all_words(2, 2)) == ["00", "01", "10", "11"]
     assert len(list(words_up_to(2, 3))) == 15
-    assert is_prefix("", "01") and is_prefix("01", "01") and not is_prefix("10", "1")
+    assert is_prefix_in("", ["01"]) and is_prefix_in("01", ["01"])
+    assert not is_prefix_in("10", ["1"])
     assert rotations("011") == ["011", "110", "101"]
     assert is_primitive("01") and not is_primitive("0101") and not is_primitive("")
     assert periodic_word("01", 5) == "01010"
     with pytest.raises(ValueError):
         letters(4)
+
+
+@given(word_sets_and_words())
+@example(([""], ""))
+@example(([""], "01"))
+@example((["0", "01", "01", "1", ""], "0"))
+@settings(max_examples=300, deadline=None)
+def test_core_predecessor_matches_length_scan(case):
+    """The predecessor test on a sorted prefix-free core decides "a listed
+    word is a prefix" as one lookup per listed length does, and its strict
+    form (on the word minus its last letter) "a listed word is a proper
+    prefix", which the empty word never has."""
+    words, w = case
+    core, store, lens = prefix_core(words), set(words), sorted({len(u) for u in words})
+    assert core == sorted(core) and set(core) <= store
+    assert not any(a != b and b.startswith(a) for a in core for b in core)
+    assert has_prefix_in(w, core) == any(w[:t] in store for t in lens if t <= len(w))
+    assert (bool(w) and has_prefix_in(w[:-1], core)) == any(
+        w[:t] in store for t in lens if t < len(w))
+
+
+@given(word_sets_and_words())
+@example(([""], ""))
+@example((["01", "0", "012"], "01"))
+@example((["1", "10"], "0"))
+@settings(max_examples=300, deadline=None)
+def test_is_prefix_in_matches_extension_scan(case):
+    """One bisection in the sorted list decides "a listed word extends
+    ``w``" as a scan of every listed word does."""
+    words, w = case
+    listed = sorted(set(words))
+    for u in {w, w[:-1], w + "0", ""}:
+        assert is_prefix_in(u, listed) == any(v.startswith(u) for v in words)
 
 
 class TestBuiltinMaps:
@@ -93,7 +127,7 @@ class TestNormalize:
     def test_same_limit(self, m, w):
         # the normalized image is always a prefix of the raw image
         mh = normalize(m)
-        assert is_prefix(mh.apply(w), m.apply(w))
+        assert m.apply(w).startswith(mh.apply(w))
 
 
 def power(m, n):
