@@ -15,16 +15,15 @@ sys.path.insert(0, "src")
 
 from cantordyn.recurrence import gadget_recurrent_set
 from cantordyn.systems import ClosedClass
-from cantordyn.words import all_words
+from cantordyn.words import all_words, is_prefix_in
 
 
 def cylinder_tree(kept, scan, depth):
-    kept = frozenset(kept)
-    prefixes = {v[:i] for v in kept for i in range(scan + 1)}
+    listed, kept = sorted(kept), frozenset(kept)
 
     def member(w):
         if len(w) <= scan:
-            return w in prefixes
+            return is_prefix_in(w, listed)
         return w[:scan] in kept
 
     return ClosedClass(2, depth, member, name="random")

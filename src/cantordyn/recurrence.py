@@ -45,30 +45,34 @@ def build_ternary_gadget(tree: ClosedClass) -> DynSystem:
     return DynSystem(full_class(3, tree.depth), _gadget(tree)[0])
 
 
-def _gadget(tree: ClosedClass) -> tuple[CodedMap, Callable[[str], str | None]]:
-    """The gadget map and its ``π``, which share one memo of asked words."""
+def _gadget(tree: ClosedClass) -> tuple[CodedMap, Callable[[str], str]]:
+    """The gadget map and its ``π`` (``""`` on the tree), sharing one memo from
+    2-free words to their ``π``: a word's head before its first ``2`` is filled
+    forward from its longest memoized prefix, so the tree is asked each word once."""
     if tree.k != 2:
         raise ValueError("source tree must be over alphabet 2")
-    asked: dict[str, bool] = {}     # 2-free words asked: on the tree or not
+    memo = {"": ""}
 
-    def shortest_off_tree(w: str) -> str | None:
+    def shortest_off_tree(w: str) -> str:
         two = w.find("2")
         end = len(w) if two < 0 else two
-        for m in range(1, end + 1):
+        n = end
+        while (res := memo.get(w[:n])) is None:
+            n -= 1
+        for m in range(n + 1, end + 1):
             u = w[:m]
-            if (on := asked.get(u)) is None:
-                # past the first letter every proper prefix is on the tree
-                on = asked[u] = tree.member_step(u) if m > 1 else tree.member(u)
-            if not on:
-                return u
-        return None if two < 0 else w[:two + 1]
+            # past the first letter every proper prefix is on the tree
+            if not res and not (tree.member_step(u) if m > 1 else tree.member(u)):
+                res = u
+            memo[u] = res
+        return res or w[:two + 1]
 
     def rule(w: str) -> str:
         if not w:
             return ""
         n = len(w) - 1
         p = shortest_off_tree(w)
-        if p is None:
+        if not p:
             return w[:n]
         if p == "2":
             return "0" * n
@@ -134,6 +138,28 @@ class CoverStage(NamedTuple):
     V: tuple[str, ...]
 
 
+def return_time(f: CodedMap, w: str, p: int, bound: int) -> int | None:
+    """Least ``n`` in ``[p, bound]`` with ``f^n(w) ⪰ w↾p`` (None when none).  On
+    a suffix map ``f^n(w) = w[n·step:]``, an offset read with no walk; other
+    maps walk the orbit.  Normalized maps shrink, so ``|w| ≤ p`` never returns."""
+    if p == 0:
+        return 0
+    if len(w) <= p:
+        return None
+    target = w[:p]
+    if (step := f.suffix_step) == 1:
+        return n if (n := w.find(target, p, bound + p)) >= 0 else None
+    if step:
+        return next((n for n in range(p, min(bound, (len(w) - p) // step) + 1)
+                     if w.startswith(target, n * step)), None)
+    cur, n = w, 0
+    while cur and n < bound:
+        cur, n = f.apply(cur), n + 1
+        if n >= p and cur.startswith(target):
+            return n
+    return None
+
+
 class _StageState:
     """Return-time and qualification memos for stage ``i``: elements return
     at precision ``i - 1`` with return time at least ``i - 1``."""
@@ -148,33 +174,13 @@ class _StageState:
         self._ret: dict[str, int | None] = {}
 
     def ret(self, w: str) -> int | None:
-        """Least ``n ≥ i-1`` with ``f^n(w) ⪰ w↾(i-1)`` (None when none).  On a
-        suffix map ``f^n(w) = w[n·step:]``: an offset, read with no walk or memo."""
-        p = self.precision
-        if p == 0:
-            return 0
-        if len(w) <= p:
-            return None
-        if (step := self.f.suffix_step) == 1:
-            return n if (n := w.find(w[:p], p)) >= 0 else None
-        if step:
-            return next((n for n in range(p, (len(w) - p) // step + 1)
-                         if w.startswith(w[:p], n * step)), None)
-        got = self._ret.get(w, -1)
-        if got != -1:
-            return got
-        target = w[:p]
-        cur = w
-        res = None
-        for n in range(1, self.depth + 1):
-            cur = self.f.apply(cur) if cur else ""
-            if n >= p and len(cur) >= p and cur.startswith(target):
-                res = n
-                break
-            if not cur:
-                break
-        self._ret[w] = res
-        return res
+        """:func:`return_time` within the working depth, memoized unless the
+        map is a suffix map."""
+        if self.f.suffix_step:
+            return return_time(self.f, w, self.precision, self.depth)
+        if (got := self._ret.get(w, -1)) == -1:
+            got = self._ret[w] = return_time(self.f, w, self.precision, self.depth)
+        return got
 
     def returns_within(self, w: str, s: int) -> bool:
         r = self.ret(w)
@@ -296,8 +302,8 @@ def construct_recurrent_point(sys_: DynSystem, stages: int = 6,
         s_found, first = None, ""    # members below first extend ones covered at s - 1, so at s
         for s in range(max(1, i - 1), N + 1):
             if s > _STAGE_ENUM_CAP:
-                raise HorizonExhausted(f"stage {i}: covering scan beyond 2^{s}",
-                                       partial=stage_records)
+                raise HorizonExhausted(f"stage {i}: covering bound {s} passes the length "
+                                       f"cap {_STAGE_ENUM_CAP}", partial=stage_records)
             while len(levels) <= s:
                 levels.append(_next_level(sys_.space, levels[-1], 2 ** _STAGE_ENUM_CAP + 1))
             V = levels[s]
@@ -327,11 +333,7 @@ def construct_recurrent_point(sys_: DynSystem, stages: int = 6,
     orb = f.orbit(point_word, N)
     entries = []
     for c in range(1, c_max + 1):
-        hit = None
-        for n in range(c + 1, N + 1):
-            if len(orb[n]) >= c and orb[n].startswith(point_word[:c]):
-                hit = n
-                break
+        hit = next((n for n in range(c + 1, N + 1) if orb[n].startswith(point_word[:c])), None)
         if hit is None:
             raise HorizonExhausted(f"no return at precision {c} for {point_word!r}",
                                    partial=stage_records)
@@ -340,11 +342,11 @@ def construct_recurrent_point(sys_: DynSystem, stages: int = 6,
 
 
 def audit_cover_stages(sys_: DynSystem, stages: list[CoverStage]) -> Report:
-    """Independently re-check the three stored-stage invariants.
+    """Re-check the stored-stage invariants.
 
-    Stage-``i`` elements return at precision ``i - 1`` with return time in
-    ``[i - 1, s_i]``, matching the construction formula.
-    """
+    Stage-``i`` elements return at precision ``i - 1`` with a
+    :func:`return_time` in ``[i - 1, s_i]``; the reach check walks its own
+    ``apply`` orbits and the cover check lists its own members."""
     f = sys_.map
     rep = Report()
     cores = [prefix_core(st.U) for st in stages]
@@ -352,12 +354,7 @@ def audit_cover_stages(sys_: DynSystem, stages: list[CoverStage]) -> Report:
         i, s = st.i, st.s
         p = max(i - 1, 0)
         for tau in st.U:
-            cur = tau
-            for n in range(s + 1):
-                if n >= p and len(cur) >= p and cur.startswith(tau[:p]):
-                    break
-                cur = f.apply(cur) if cur else ""
-            else:
+            if return_time(f, tau, p, s) is None:
                 rep.add("cover-return", tau, f"stage {i}: no return within {s}")
         for v in st.V:
             cur = v

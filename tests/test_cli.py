@@ -149,6 +149,15 @@ class TestCommands:
         assert rep["outcome"]["point"] == "0" * 16
         assert rep["certificates"]["recurrence"]["entries"]
 
+    def test_recurrent_names_the_length_cap(self, tmp_path, capsys):
+        # the golden mean's length-19 level has 10,946 members, far under the
+        # member cap, so the message names the bound and the length cap
+        spec = tmp_path / "golden-40.json"
+        spec.write_text(json.dumps(dict(GOLDEN, depth=40)))
+        assert main(["recurrent", str(spec), "--stages", "5"]) == 1
+        assert capsys.readouterr().err == (
+            "error: stage 5: covering bound 19 passes the length cap 18\n")
+
     def test_minimal(self, golden_spec, tmp_path):
         code, rep = run_to_json(["minimal", golden_spec], tmp_path, "m.json")
         assert code == 0

@@ -1,3 +1,4 @@
+import inspect
 import random
 from collections import Counter
 
@@ -12,7 +13,7 @@ from cantordyn.maps import CodedMap, builtin_map
 from cantordyn.recurrence import (_covered, _next_level, _StageState, _store_stage,
                                   audit_cover_stages, build_ternary_gadget,
                                   construct_recurrent_point, gadget_recurrent_equals_paths,
-                                  gadget_recurrent_set)
+                                  gadget_recurrent_set, return_time)
 from cantordyn.refinement import PiecewiseIterate
 from cantordyn.search import iter_members
 from cantordyn.systems import (ClosedClass, DynSystem, explicit_class,
@@ -207,17 +208,22 @@ def small_trees(draw, depth=7):
 @given(small_trees(), st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=40, deadline=None)
 def test_gadget_map_matches_pi_memo_rule(tree, seed):
-    """The asked-word memo gives the map the ``pi_memo`` rule gives, on
+    """The off-tree-prefix memo gives the map the ``pi_memo`` rule gives, on
     every ternary word up to depth 7, each side asking in its own random
-    order so that no memo state can matter."""
+    order so that no memo state can matter.  The memo then holds every
+    2-free word up to that depth with its shortest off-tree prefix, and no
+    word containing a ``2``."""
     words = list(words_up_to(3, tree.depth))
     ref = _pi_memo_rule(tree)
     rnd = random.Random(seed)
     rnd.shuffle(words)
     want = {w: ref(w) for w in words}
-    f = build_ternary_gadget(tree).map
+    f, off = recurrence._gadget(tree)
     rnd.shuffle(words)
     assert {w: f.apply(w) for w in words} == want
+    off_tree = {u: next((u[:m] for m in range(1, len(u) + 1) if not tree.member(u[:m])), "")
+                for u in words_up_to(2, tree.depth)}
+    assert inspect.getclosurevars(off).nonlocals["memo"] == off_tree
 
 
 def test_gadget_scan_work_guard(monkeypatch):
@@ -595,6 +601,17 @@ def test_suffix_return_time_matches_orbit_walk(step, i, w):
     assert not state._ret
 
 
+@given(store_maps(), st.integers(0, 4), st.integers(0, STORE_DEPTH),
+       st.text(alphabet="01", max_size=STORE_DEPTH))
+@settings(max_examples=200, deadline=None)
+def test_return_time_is_least_iterate_within_bound(f, p, bound, w):
+    """On every map kind the return time is the least ``n`` in ``[p, bound]``
+    whose iterate extends ``w↾p``, read off ``CodedMap.iterate``."""
+    want = next((n for n in range(p, bound + 1)
+                 if len(w) >= p and f.iterate(w, n).startswith(w[:p])), None)
+    assert return_time(f, w, p, bound) == want
+
+
 class TestCoverAudit:
     def test_audit_catches_tampering(self, full_shift12):
         _, _, stages = construct_recurrent_point(full_shift12, stages=2, c_max=2)
@@ -607,18 +624,28 @@ class TestCoverAudit:
 
     def test_prefix_lookups_match_linear_scans(self, full_shift12):
         # on tampered stages the audit reports exactly what scanning every
-        # stored word for a prefix reports, in the same order, on the full
-        # shift and under a random normalized map; some tampers put the empty
+        # stored word for a prefix and walking every orbit reports, in the
+        # same order, on four map kinds: the shift and column-shift(2), whose
+        # return times are offsets, a piecewise drop map over the shift and
+        # a random normalized map, which walk; some tampers put the empty
         # word into U_i, which has no strict U_{i-1} ancestor
+        column = DynSystem(forbidden_window_class(2, 14, ["11"]),
+                           builtin_map("column-shift", 2, 14, columns=2))
+        drop = DynSystem(forbidden_window_class(2, 12, ["11"]),
+                         PiecewiseIterate(1, 2, builtin_map("left-shift", 2, 12),
+                                          {"0": 1, "1": 2}.__getitem__).induced())
         random_map = DynSystem(full_class(2, 12), random_normalized_map(2, 12, random.Random(3)))
-        for sys_, n_stages in ((full_shift12, 3), (random_map, 2)):
+        assert (column.map.suffix_step, drop.map.suffix_step) == (2, None) and drop.map.drop
+        for sys_, n_stages in ((full_shift12, 3), (column, 3), (drop, 3), (random_map, 2)):
             _, _, stages = construct_recurrent_point(sys_, stages=n_stages, c_max=n_stages - 1)
             rng = random.Random(5)
             for trial in range(20):
                 tampered = list(stages)
                 idx = rng.randrange(1, len(stages))
                 st = tampered[idx]
-                U = tuple(w for w in st.U if rng.random() < 0.7) + ("1" * rng.randint(1, 4),)
+                # a random word may return only after s_i, or not at all
+                late = "".join(rng.choice("01") for _ in range(rng.randint(1, sys_.depth)))
+                U = tuple(w for w in st.U if rng.random() < 0.7) + ("1" * rng.randint(1, 4), late)
                 if trial % 4 == 0:
                     U = ("",) + U
                 V = tuple(w for w in st.V if rng.random() < 0.7)
@@ -628,6 +655,30 @@ class TestCoverAudit:
                 if trial % 4 == 0:
                     assert ("cover-nesting", "",
                             f"stage {st.i}: no strict U_{st.i - 1} ancestor") in got
+
+    def test_suffix_audit_makes_no_apply_calls(self):
+        # a work guard in counts, not time: with every V emptied, the audit
+        # of the no-101 stages at depth 16 walks no orbit, since the shift's
+        # return times are offsets (walking each return took 38,906 apply
+        # calls on 10,192 words); the emptied V only leaves every member open
+        calls = Counter()
+
+        class CountedMap(CodedMap):
+            __slots__ = ()
+
+            def apply(self, word):
+                calls[word] += 1
+                return super().apply(word)
+
+        f = CountedMap(2, 16, lambda w: w[1:], {l: l + 1 for l in range(16)} | {0: 0},
+                       shrinking=True, suffix_step=1, name="left-shift")
+        sys_ = DynSystem(forbidden_window_class(2, 16, ["101"]), f)
+        _, _, stages = construct_recurrent_point(sys_, stages=4)
+        assert [len(st.U) for st in stages] == [1, 2, 6, 210, 3250]
+        calls.clear()
+        rep = audit_cover_stages(sys_, [st._replace(V=()) for st in stages])
+        assert not calls
+        assert {kind for kind, _, _ in rep.entries} == {"cover-open"}
 
     def test_nesting(self, full_shift12):
         _, _, stages = construct_recurrent_point(full_shift12, stages=3, c_max=2)
@@ -647,10 +698,10 @@ def _linear_scan_violations(sys_, stages):
                        for n, o in enumerate(f.orbit(tau, s))):
                 out.append(("cover-return", tau, f"stage {i}: no return within {s}"))
         for v in st.V:
-            if not any(o.startswith(u) for o in f.orbit(v, s) for u in st.U):
+            if not any(o.startswith(tuple(st.U)) for o in f.orbit(v, s)):
                 out.append(("cover-reach", v, f"stage {i}: does not reach U within {s}"))
         for w in iter_members(sys_.space, s):
-            if not any(w.startswith(v) for v in st.V):
+            if not w.startswith(tuple(st.V)):
                 out.append(("cover-open", w, f"stage {i}: member not covered by V"))
         if idx > 0:
             for tau in st.U:
