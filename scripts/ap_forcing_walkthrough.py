@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Walk through the almost-periodic-point forcing on the golden-mean shift,
-printing every stage of the interleaved schedule and the final certificate."""
+printing every stage of the interleaved schedule and the final certificate.
+Exits 1 when the certificate or the sampled chain check fails."""
 
 import argparse
 import sys
@@ -43,11 +44,13 @@ def main():
     print(f"\npoint: {X.prefix}")
     for r in cert.rows:
         print(f"  cylinder length {r.c}: gap bound {r.b}")
-    print("verify_ap:", verify_ap(X, cert))
-    print("chain: lookup", log.chain.l, "bound", log.chain.b,
-          "sound:", check_piecewise_samples(log.chain, log.final.map, 200).ok)
+    verified = verify_ap(X, cert)
+    sound = check_piecewise_samples(log.chain, log.final.map, 200).ok
+    print("verify_ap:", verified)
+    print("chain: lookup", log.chain.l, "bound", log.chain.b, "sound:", sound)
     print(f"{dt:.2f}s")
+    return 0 if verified and sound else 1
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

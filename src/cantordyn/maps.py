@@ -8,7 +8,9 @@ shrinks, ``|f(σ)| < |σ|``; all system constructions assume normalized maps.
 
 Tables given by rule (the shift, the gadget map of the tree reduction) are
 materialized lazily with memoization, so validators and certificate checkers
-run uniformly over rule-backed and explicit tables.
+run uniformly over rule-backed and explicit tables.  Hitting times (the
+least iterate of a word that passes a test, or that none does within a
+bound) come from one orbit walk, :meth:`CodedMap.hit_time`, that stops at λ.
 """
 
 from __future__ import annotations
@@ -75,6 +77,20 @@ class CodedMap:
                 return ""
             cur = self.apply(cur)
         return cur
+
+    def hit_time(self, word: str, hit: Callable[[str], bool], start: int, stop: int
+                 ) -> int | None:
+        """Least ``n`` in ``[start, stop]`` with ``hit(f^n(word))``, or None.
+        λ is a fixed point, so the walk ends once λ has been tested."""
+        cur = word
+        for n in range(stop + 1 if start <= stop else 0):
+            if not cur:
+                return max(n, start) if hit(cur) else None
+            if n >= start and hit(cur):
+                return n
+            if n < stop:
+                cur = self.apply(cur)
+        return None
 
     def orbit(self, word: str, steps: int) -> list[str]:
         """``[f^0(word), …, f^steps(word)]``."""

@@ -16,6 +16,7 @@ orbit class generated by ``(0^t 1^t)^ω``.
 
 from __future__ import annotations
 
+import functools
 from typing import NamedTuple
 
 from .errors import NotMinimal, UndecidedAtDepth
@@ -262,13 +263,13 @@ def product_system(parts: list[ClosedClass]) -> DynSystem:
     ``p mod columns``, and the map shifts every column at once.
 
     The child test asks only the column the new letter lands in (every
-    column at the root), through a per-column memo whose misses ask that
-    column's own child test once: a column word's proper prefixes are column
-    words of the node's ancestors, so they are members.  A search re-tests the
-    same few column words at many nodes, and a column holds at most
-    ``k^(depth+1)`` words, so the memo stays small; it lives in this product's
-    closure and is freed with it.  The product has no stage schedule:
-    ``member(w, stage)`` is ``member(w)``.
+    column at the root), through a per-column ``functools.cache`` whose
+    misses ask that column's own child test once: a column word's proper
+    prefixes are column words of the node's ancestors, so they are members.
+    A search re-tests the same few column words at many nodes, and a column
+    holds at most ``k^(depth+1)`` words, so the memo stays small; it lives in
+    this product's closure and is freed with it.  The product has no stage
+    schedule: ``member(w, stage)`` is ``member(w)``.
 
     ``space.columns`` holds one class per column whose child test is that
     column's memoized lookup, so listing column members asks each column word
@@ -283,23 +284,16 @@ def product_system(parts: list[ClosedClass]) -> DynSystem:
         raise ValueError("column-count mismatch: parts must share alphabet and depth")
     depth = cols * depth0
 
-    memo: list[dict[str, bool]] = [{} for _ in parts]
-
-    def column(n: int, c: str) -> bool:
-        known = memo[n].get(c)
-        if known is None:
-            known = memo[n][c] = parts[n].member_step(c)
-        return known
+    tests = [functools.cache(p.member_step) for p in parts]
 
     def step(w: str) -> bool:
         if not w:
-            return all(column(n, w) for n in range(cols))
+            return all(test(w) for test in tests)
         n = (len(w) - 1) % cols
-        return column(n, w[n::cols])
+        return tests[n](w[n::cols])
 
     space = ClosedClass(parts[0].k, depth, step, name=f"product({cols})")
-    space.columns = [ClosedClass(p.k, depth0, lambda c, n=n: column(n, c), name=p.name)
-                     for n, p in enumerate(parts)]
+    space.columns = [ClosedClass(p.k, depth0, test, name=p.name) for p, test in zip(parts, tests)]
     return DynSystem(space, builtin_map("column-shift", parts[0].k, depth, columns=cols))
 
 

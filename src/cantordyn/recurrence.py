@@ -152,12 +152,7 @@ def return_time(f: CodedMap, w: str, p: int, bound: int) -> int | None:
     if step:
         return next((n for n in range(p, min(bound, (len(w) - p) // step) + 1)
                      if w.startswith(target, n * step)), None)
-    cur, n = w, 0
-    while cur and n < bound:
-        cur, n = f.apply(cur), n + 1
-        if n >= p and cur.startswith(target):
-            return n
-    return None
+    return f.hit_time(w, lambda u: u.startswith(target), p, bound)
 
 
 class _StageState:
@@ -199,14 +194,7 @@ def _covered(state: _StageState, v: str, s: int) -> bool:
     Each iterate is tested once, not its prefixes, by order preservation: if
     a prefix ``u`` of ``cur`` qualifies, so does ``cur``, since ``u``'s stored
     ancestor is a proper prefix of ``cur`` and ``f^n(u) ⪯ f^n(cur)``."""
-    cur = v
-    for n in range(s + 1):
-        if state.qualifies(cur, s):
-            return True
-        if not cur:
-            break
-        cur = state.f.apply(cur)
-    return False
+    return state.f.hit_time(v, lambda cur: state.qualifies(cur, s), 0, s) is not None
 
 
 def _store_stage(state: _StageState, s: int, k: int) -> set[str]:

@@ -16,6 +16,7 @@ original map.
 
 from __future__ import annotations
 
+import functools
 import random
 from typing import Callable, NamedTuple
 
@@ -45,19 +46,17 @@ class PiecewiseIterate:
         self.b = b
         self.base = base
         self._induced: CodedMap | None = None
-        memo: dict[str, int] = {}
 
         # a closure, not a method: the induced map captures it, and must not
-        # capture the certificate that caches the map
+        # capture the certificate that caches the map; a call that raises is
+        # not cached, so every miss runs both checks
+        @functools.cache
         def j(w: str) -> int:
             if len(w) != l:
                 raise ValueError(f"lookup word must have length {l}")
-            got = memo.get(w)
-            if got is None:
-                got = jfunc(w)
-                if not 1 <= got <= b:
-                    raise ValueError(f"exponent {got} outside 1..{b}")
-                memo[w] = got
+            got = jfunc(w)
+            if not 1 <= got <= b:
+                raise ValueError(f"exponent {got} outside 1..{b}")
             return got
 
         self.j = j
@@ -279,12 +278,10 @@ def meet_or_avoid(sys_: DynSystem, request) -> tuple[Refinement, str]:
     def jfunc(w: str) -> int:
         if not space.member(w):
             return 1
-        cur = w
-        for k in range(1, s + 2):
-            cur = f.apply(cur)
-            if has_prefix_in(cur, core):
-                return k
-        raise HorizonExhausted(f"no landing exponent for {w!r} within {s + 1}")
+        k = f.hit_time(w, lambda u: has_prefix_in(u, core), 1, s + 1)
+        if k is None:
+            raise HorizonExhausted(f"no landing exponent for {w!r} within {s + 1}")
+        return k
 
     cert = PiecewiseIterate(l, s + 1, f, jfunc)
     child = DynSystem(d1, cert.induced())
@@ -312,15 +309,7 @@ def least_element_forcing(sys_: DynSystem, phi: Phi1Predicate
     The bound ``b`` is the least one whose request ``O(<= b)`` is met.
     """
     N = sys_.depth
-    memo: dict[tuple[int, str], bool] = {}
-
-    def phi_at(m: int, tau: str) -> bool:
-        key = (m, tau)
-        got = memo.get(key)
-        if got is None:
-            got = phi(m, tau)
-            memo[key] = got
-        return got
+    phi_at = functools.cache(phi)
 
     def o_le(n: int) -> Callable[[str], bool]:
         return lambda tau: any(phi_at(m, tau) for m in range(n + 1))
@@ -445,16 +434,9 @@ def construct_ap_point(sys_: DynSystem, requests: list[OpenRequest], c_max: int 
     stepwise = cur.map
     log = ApForcingLog()
 
-    schedule: list[tuple[str, object]] = []
     for t in range(max(len(requests), c_max)):
         if t < len(requests):
-            schedule.append(("request", requests[t]))
-        if t < c_max:
-            schedule.append(("periodicity", t + 1))
-
-    for kind, payload in schedule:
-        if kind == "request":
-            ref, case = meet_or_avoid(cur, payload)
+            ref, case = meet_or_avoid(cur, requests[t])
             if case == "meet":
                 chain = compose(ref.cert, chain)
                 cur = DynSystem(ref.child.space, chain.induced())
@@ -462,13 +444,12 @@ def construct_ap_point(sys_: DynSystem, requests: list[OpenRequest], c_max: int 
                                             ref.cert.j).induced()
             else:
                 cur = DynSystem(ref.child.space, cur.map)
-            log.stages.append(ApStageRecord("request", payload.name, case=case,
+            log.stages.append(ApStageRecord("request", requests[t].name, case=case,
                                             s=ref.meta.get("s"), chain_bound=chain.b))
-        else:
-            i = payload
-            res = nbh_periodicity(cur, i)
+        if t < c_max:
+            res = nbh_periodicity(cur, t + 1)
             cur = DynSystem(res.system.space, cur.map)
-            log.stages.append(ApStageRecord("periodicity", f"i={i}", cylinder=i,
+            log.stages.append(ApStageRecord("periodicity", f"i={t + 1}", cylinder=t + 1,
                                             return_bound=res.b, chain_bound=chain.b,
                                             avoided=res.avoided))
 

@@ -9,10 +9,12 @@ narrowed only by restricting its class: ``restrict_class`` and
 
 Avoidance conditions provide a full check ``ok(word)`` and an incremental
 ``ok_extension(word)`` that may assume every proper prefix of the word already
-passed (valid along DFS paths).  :class:`OrbitAvoidance` is the one
-finite-set orbit-avoidance condition: a fixed forbidden set is a stagewise
-request whose words all switch on at stage 0, and once every word is on, a
-request takes the same incremental paths.  For pure suffix maps
+passed (valid along DFS paths).  A full check is one :meth:`CodedMap.hit_time`
+walk, testing each iterate by a lookup per forbidden length or by a cached
+predicate scan.  :class:`OrbitAvoidance` is the one finite-set orbit-avoidance
+condition: a fixed forbidden set is a stagewise request whose words all switch
+on at stage 0, and once every word is on, a request takes the same incremental
+paths.  For pure suffix maps
 (``f(σ) = σ[s:]``) the incremental form only compares the windows that end at
 the new letter.  For variable-drop maps (:attr:`CodedMap.drop`, which every
 piecewise iterate of a suffix map carries) the orbit of a word is a chain of
@@ -24,6 +26,7 @@ the chain.
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Container, Iterable, Iterator, Mapping, Sequence
 
 from .maps import CodedMap
@@ -127,18 +130,9 @@ class OrbitAvoidance:
     def ok(self, word: str) -> bool:
         if not self.lens:
             return True
-        L = len(word)
-        cur = word
-        for _ in range(L + 1):
-            for t in self.lens:
-                if len(cur) >= t:
-                    st = self.stage.get(cur[:t])
-                    if st is not None and st <= L:
-                        return False
-            if not cur:
-                break
-            cur = self.map.apply(cur)
-        return True
+        L, stage, lens = len(word), self.stage, self.lens
+        return self.map.hit_time(
+            word, lambda cur: any(stage.get(cur[:t], L + 1) <= L for t in lens), 0, L) is None
 
     def ok_extension(self, word: str) -> bool:
         L = len(word)
@@ -166,24 +160,11 @@ class PredicateAvoidance:
     def __init__(self, map_: CodedMap, pred):
         self.map = map_
         self.pred = pred
-        self._word_hit: dict[str, bool] = {}
-
-    def _hit(self, word: str) -> bool:
-        h = self._word_hit.get(word)
-        if h is None:
-            h = any(self.pred(word[:t]) for t in range(len(word) + 1))
-            self._word_hit[word] = h
-        return h
+        self._word_hit = functools.cache(
+            lambda w: any(pred(w[:t]) for t in range(len(w) + 1)))
 
     def ok(self, word: str) -> bool:
-        cur = word
-        for _ in range(len(word) + 1):
-            if self._hit(cur):
-                return False
-            if not cur:
-                break
-            cur = self.map.apply(cur)
-        return True
+        return self.map.hit_time(word, self._word_hit, 0, len(word)) is None
 
     def ok_extension(self, word: str) -> bool:
         return self.ok(word)

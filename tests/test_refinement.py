@@ -81,6 +81,23 @@ class TestInducedMap:
         with pytest.raises(ValueError):
             cert.induced().apply("01")
 
+    def test_exponent_lookups_cache_only_good_words(self):
+        # a lookup that raises is not cached, so each call checks again
+        asked = Counter()
+
+        def jfunc(w):
+            asked[w] += 1
+            return 3 if w == "11" else 1
+
+        cert = PiecewiseIterate(2, 2, shift(), jfunc)
+        for _ in range(3):
+            with pytest.raises(ValueError, match="length 2"):
+                cert.j("0")
+            with pytest.raises(ValueError, match="outside 1..2"):
+                cert.j("11")
+            assert [cert.j(w) for w in ("00", "01", "10")] == [1, 1, 1]
+        assert asked == {"11": 3, "00": 1, "01": 1, "10": 1}
+
     @pytest.mark.parametrize("depth", [64, 256])
     def test_moduli_of_the_criterion_9_chain(self, depth):
         # the moduli depend on l, b and the base alone; at N=64 the lengths

@@ -4,6 +4,7 @@ No other test imports them, so a change to the library's public names could
 break them unnoticed.
 """
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -68,6 +69,17 @@ def test_ap_forcing_walkthrough_refuses_cmax_at_depth():
     assert done.returncode == 2
     assert "--cmax must be below --depth 16" in done.stderr
     assert "Traceback" not in done.stderr
+
+
+def test_ap_forcing_walkthrough_fails_on_a_bad_certificate(monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location(
+        "ap_forcing_walkthrough", ROOT / "scripts" / "ap_forcing_walkthrough.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(script, "verify_ap", lambda X, cert: False)
+    monkeypatch.setattr(sys, "argv", ["ap_forcing_walkthrough.py"])
+    assert script.main() == 1
+    assert "verify_ap: False" in capsys.readouterr().out
 
 
 def test_ab_rounds_checkout_against_itself():

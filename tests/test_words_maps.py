@@ -184,6 +184,40 @@ class TestIterateLaws:
         assert m.check() == []
 
 
+@st.composite
+def hit_maps(draw):
+    """A random normalized table, a drop map of a random ``(l, b, j)``
+    certificate over the left shift, or the left shift, all at depth 6."""
+    kind = draw(st.sampled_from(["table", "drop", "shift"]))
+    if kind == "table":
+        return random_normalized_map(2, 6, random.Random(draw(st.integers(0, 2 ** 31 - 1))))
+    if kind == "shift":
+        return builtin_map("left-shift", 2, 6)
+    l, b = draw(st.integers(0, 2)), draw(st.integers(1, 3))
+    exps = draw(st.lists(st.integers(1, b), min_size=2 ** l, max_size=2 ** l))
+    return PiecewiseIterate(l, b, builtin_map("left-shift", 2, 6),
+                            dict(zip(all_words(2, l), exps)).__getitem__).induced()
+
+
+@st.composite
+def hit_sets(draw):
+    """Prefixes, of random lengths, of random words: λ among them at times."""
+    words = draw(st.lists(st.text(alphabet="01", max_size=6), min_size=1, max_size=4))
+    return tuple(w[:draw(st.integers(0, len(w)))] for w in words)
+
+
+@given(hit_maps(), binary_words6, hit_sets(), st.integers(0, 8), st.integers(-1, 8))
+@example(builtin_map("left-shift", 2, 6), "", ("",), 3, 5)          # λ, start > 0
+@example(builtin_map("left-shift", 2, 6), "01", ("",), 3, 5)        # λ before start
+@example(builtin_map("left-shift", 2, 6), "0101", ("01",), 1, 4)    # skips n = 0
+@example(builtin_map("left-shift", 2, 6), "0101", ("01",), 3, 2)    # stop < start
+@settings(max_examples=300, deadline=None)
+def test_hit_time_is_least_hit_on_the_orbit(f, word, targets, start, stop):
+    orbit = f.orbit(word, max(stop, 0))
+    want = next((n for n in range(start, stop + 1) if orbit[n].startswith(targets)), None)
+    assert f.hit_time(word, lambda u: u.startswith(targets), start, stop) == want
+
+
 def test_random_maps_are_valid(rng):
     for _ in range(10):
         m = random_normalized_map(2, 6, rng)
