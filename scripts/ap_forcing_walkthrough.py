@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
 """Walk through the almost-periodic-point forcing on the golden-mean shift,
 printing every stage of the interleaved schedule and the final certificate.
-Exits 1 when the certificate or the sampled chain check fails."""
+Exits 1 when the certificate or the sampled chain check fails, and 2 with one
+``error:`` line when the construction runs out of depth: the requests are
+fixed, so only ``--depth`` or ``--cmax`` can be at fault."""
 
 import argparse
 import sys
@@ -9,6 +11,7 @@ import time
 
 sys.path.insert(0, "src")
 
+from cantordyn.errors import CantorDynError
 from cantordyn.maps import builtin_map
 from cantordyn.refinement import OpenRequest, check_piecewise_samples, construct_ap_point
 from cantordyn.systems import DynSystem, forbidden_window_class, verify_ap
@@ -31,7 +34,11 @@ def main():
                 OpenRequest("u4", ((0, "000"), (4, "010")))]
 
     t0 = time.monotonic()
-    X, cert, log = construct_ap_point(sys_, requests, c_max=args.cmax)
+    try:
+        X, cert, log = construct_ap_point(sys_, requests, c_max=args.cmax)
+    except CantorDynError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
     dt = time.monotonic() - t0
 
     for st in log.stages:

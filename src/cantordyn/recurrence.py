@@ -28,7 +28,7 @@ from .errors import EmptyClassError, HorizonExhausted, ModulusExhausted
 from .maps import CodedMap
 from .search import find_member, iter_members
 from .systems import (ClosedClass, DynSystem, PointApprox, RecCert, Report, cylinder_class,
-                      full_class)
+                      full_class, return_waits)
 from .words import has_prefix_in, is_prefix_in, letters, prefix_core
 
 _STAGE_ENUM_CAP = 18          # a covering scan lists at most 2^18 members, of length ≤ 18
@@ -140,19 +140,21 @@ class CoverStage(NamedTuple):
 
 def return_time(f: CodedMap, w: str, p: int, bound: int) -> int | None:
     """Least ``n`` in ``[p, bound]`` with ``f^n(w) ⪰ w↾p`` (None when none).  On
-    a suffix map ``f^n(w) = w[n·step:]``, an offset read with no walk; other
-    maps walk the orbit.  Normalized maps shrink, so ``|w| ≤ p`` never returns."""
+    a suffix map ``f^n(w) = w[n·step:]``, so one ``str.find`` scan reads the
+    least match at an offset ``n·step``; other maps walk the orbit.
+    Normalized maps shrink, so ``|w| ≤ p`` never returns."""
     if p == 0:
         return 0
     if len(w) <= p:
         return None
     target = w[:p]
-    if (step := f.suffix_step) == 1:
-        return n if (n := w.find(target, p, bound + p)) >= 0 else None
-    if step:
-        return next((n for n in range(p, min(bound, (len(w) - p) // step) + 1)
-                     if w.startswith(target, n * step)), None)
-    return f.hit_time(w, lambda u: u.startswith(target), p, bound)
+    if not (step := f.suffix_step):
+        return f.hit_time(w, lambda u: u.startswith(target), p, bound)
+    end = bound * step + p
+    i = w.find(target, p * step, end)
+    while i > 0 and i % step:    # a match between offsets n·step: skip to the next one
+        i = w.find(target, i - i % step + step, end)
+    return i // step if i >= 0 else None
 
 
 class _StageState:
@@ -321,11 +323,11 @@ def construct_recurrent_point(sys_: DynSystem, stages: int = 6,
     orb = f.orbit(point_word, N)
     entries = []
     for c in range(1, c_max + 1):
-        hit = next((n for n in range(c + 1, N + 1) if orb[n].startswith(point_word[:c])), None)
-        if hit is None:
+        wait = return_waits(orb, point_word[:c])[c + 1] if c < N else None
+        if wait is None:
             raise HorizonExhausted(f"no return at precision {c} for {point_word!r}",
                                    partial=stage_records)
-        entries.append((c, hit, N))
+        entries.append((c, c + 1 + wait, N))
     return X, RecCert(tuple(entries)), stage_records
 
 

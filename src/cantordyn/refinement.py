@@ -25,7 +25,7 @@ from .maps import CodedMap
 from .search import (OrbitAvoidance, PredicateAvoidance, avoidance_class,
                      death_length, find_member, iter_members)
 from .systems import (APCert, APRow, DynSystem, PointApprox, Report,
-                      memo_class, restrict_class, search_ap_row)
+                      least_ap_row, memo_class, restrict_class)
 from .words import all_words, has_prefix_in, prefix_core, words_up_to
 
 
@@ -458,13 +458,10 @@ def construct_ap_point(sys_: DynSystem, requests: list[OpenRequest], c_max: int 
         raise HorizonExhausted("no full-depth survivor after forcing", partial=log)
     X = sys_.point(word)
 
+    orb = f0.orbit(word, N)
     rows: list[APRow] = []
     for c in range(1, c_max + 1):
-        row = None
-        for b in range(1, N - c + 1):
-            row = search_ap_row(X, c, b)
-            if row is not None:
-                break
+        row = least_ap_row(X, orb, c)
         if row is None:
             raise HorizonExhausted(f"no gap bound verifies for cylinder length {c}",
                                    partial=log)

@@ -13,6 +13,7 @@ them without re-running the constructions that produced them.
 from __future__ import annotations
 
 import functools
+from itertools import accumulate
 from typing import Callable, Iterable, NamedTuple
 
 from .errors import DepthExceeded
@@ -175,9 +176,6 @@ class PointApprox(_PointApprox):
             raise ValueError("point prefix must have full depth")
         return super().__new__(cls, prefix, system)
 
-    def check_membership(self) -> bool:
-        return self.system.space.member(self.prefix)
-
 
 class RecCert(NamedTuple):
     """Recurrence witnesses: one ``(c, n, l)`` row per cylinder length with
@@ -335,26 +333,30 @@ def verify_ap(X: PointApprox, cert: APCert) -> bool:
     return True
 
 
-def search_ap_row(X: PointApprox, c: int, b: int) -> APRow | None:
-    """Try to witness row ``(c, b)`` directly on the orbit of ``X``."""
+def return_waits(orb: list[str], target: str) -> list[int | None]:
+    """For each start ``n``, the steps from ``orb[n]`` to the next iterate
+    that extends ``target`` (None when no later iterate does)."""
+    waits: list[int | None] = [None] * len(orb)
+    hit = None
+    for n in range(len(orb) - 1, -1, -1):
+        if orb[n].startswith(target):
+            hit = n
+        if hit is not None:
+            waits[n] = hit - n
+    return waits
+
+
+def least_ap_row(X: PointApprox, orb: list[str], c: int) -> APRow | None:
+    """The row ``(c, b)`` with the least gap bound ``b`` that verifies on
+    ``orb``, the orbit of ``X``, or None.  Bound ``b`` holds when every start
+    ``n ≤ N − b − c`` waits less than ``b``, so one running maximum of the
+    waits decides every ``b``; the witnesses are the waits."""
     N = X.system.depth
-    orb = X.system.map.orbit(X.prefix, N)
-    target = X.prefix[:c]
-    last = N - b - c
-    if last < 0:
-        return None
-    wit: list[int | None] = []
-    for n in range(last + 1):
-        found = None
-        for k in range(b):
-            it = orb[n + k]
-            if len(it) >= c and it.startswith(target):
-                found = k
-                break
-        if found is None:
-            return None
-        wit.append(found)
-    return APRow(c, b, tuple(wit))
+    waits = return_waits(orb, X.prefix[:c])
+    # running[n]: the longest wait at a start ≤ n; no return counts as N + 1
+    running = list(accumulate((N + 1 if k is None else k for k in waits[:N - c]), max))
+    b = next((b for b in range(1, N - c + 1) if running[N - b - c] < b), None)
+    return None if b is None else APRow(c, b, tuple(waits[:N - b - c + 1]))
 
 
 def rec_cert_from_ap(X: PointApprox, cert: APCert) -> RecCert:

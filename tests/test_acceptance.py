@@ -100,7 +100,7 @@ def test_criterion_3_recurrent_point():
     for space in (full_class(2, 16), forbidden_window_class(2, 16, ["11"])):
         sys_ = DynSystem(space, builtin_map("left-shift", 2, 16))
         X, cert, stages = construct_recurrent_point(sys_, stages=3, c_max=4)
-        assert X.check_membership()
+        assert X.system.space.member(X.prefix)
         assert {c for c, _, _ in cert.entries} == {1, 2, 3, 4}
         assert verify_recurrence(X, cert)
         assert audit_cover_stages(sys_, stages).ok
@@ -257,7 +257,7 @@ def test_criterion_9_ap_construction():
                 OpenRequest.static("u3", ["00"]),
                 OpenRequest("u4", ((0, "000"), (4, "010")))]
     X, cert, log = construct_ap_point(sys_, requests, c_max=4)
-    assert X.check_membership()
+    assert X.system.space.member(X.prefix)
     assert [r.c for r in cert.rows] == [1, 2, 3, 4]
     assert verify_ap(X, cert)
     cases = [st.case for st in log.stages if st.kind == "request"]

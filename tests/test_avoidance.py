@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cantordyn.avoidance import (SigmaSequence, build_dodging_class,
                                  enumerate_periodic_points, verify_not_ap)
@@ -167,3 +169,41 @@ class TestVerifyNotAp:
     def test_empty_hat_rejected(self):
         hat = explicit_class(2, N, [])
         assert not verify_not_ap(hat, 1)
+
+
+def reference_not_ap(hat, b_max):
+    """The gap scan as one loop per member, gap bound, start and step: the
+    form that ``verify_not_ap`` replaces, kept as its reference."""
+    N = hat.depth
+    members = iter_members(hat, N)
+    if not members:
+        return False
+    for w in members:
+        root = w[0]
+        for b in range(1, b_max + 1):
+            ok = False
+            for n in range(N - b + 1):
+                if all(w[n + k] != root for k in range(b)):
+                    ok = True
+                    break
+            if not ok:
+                return False
+    return True
+
+
+@st.composite
+def classes_and_bounds(draw):
+    """An explicit class over two or three letters, its listed words often of
+    full depth, and a gap bound from 0 past the depth."""
+    depth = draw(st.integers(1, 9))
+    alpha = draw(st.sampled_from(["01", "012"]))
+    words = draw(st.lists(st.one_of(st.text(alphabet=alpha, min_size=depth, max_size=depth),
+                                    st.text(alphabet=alpha, max_size=depth)), max_size=6))
+    return explicit_class(len(alpha), depth, words), draw(st.integers(0, depth + 1))
+
+
+@given(classes_and_bounds())
+@settings(max_examples=200, deadline=None)
+def test_verify_not_ap_matches_the_nested_scan(hat_and_bound):
+    hat, b_max = hat_and_bound
+    assert verify_not_ap(hat, b_max) == reference_not_ap(hat, b_max)

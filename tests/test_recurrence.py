@@ -274,7 +274,7 @@ class TestConstructRecurrentPoint:
     def test_full_shift_depth16(self):
         sys_ = DynSystem(full_class(2, 16), builtin_map("left-shift", 2, 16))
         X, cert, stages = construct_recurrent_point(sys_, stages=3, c_max=4)
-        assert X.check_membership()
+        assert X.system.space.member(X.prefix)
         assert verify_recurrence(X, cert)
         assert audit_cover_stages(sys_, stages).ok
 

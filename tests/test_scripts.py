@@ -71,6 +71,15 @@ def test_ap_forcing_walkthrough_refuses_cmax_at_depth():
     assert "Traceback" not in done.stderr
 
 
+def test_ap_forcing_walkthrough_reports_a_short_depth():
+    # the fixed requests need more depth than 16 to compose their chain
+    done = subprocess.run([sys.executable, "scripts/ap_forcing_walkthrough.py", "--depth", "16"],
+                          cwd=ROOT, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2
+    assert done.stderr.startswith("error: ")
+    assert "Traceback" not in done.stderr
+
+
 def test_ap_forcing_walkthrough_fails_on_a_bad_certificate(monkeypatch, capsys):
     spec = importlib.util.spec_from_file_location(
         "ap_forcing_walkthrough", ROOT / "scripts" / "ap_forcing_walkthrough.py")

@@ -14,7 +14,7 @@ from cantordyn.search import (OrbitAvoidance, avoidance_class, death_length,
 from cantordyn.systems import (APCert, APRow, DynSystem, PointApprox, RecCert,
                                Report, cylinder_class, explicit_class,
                                forbidden_window_class, full_class, memo_class,
-                               orbit_class, rec_cert_from_ap, search_ap_row, stagewise_class,
+                               least_ap_row, orbit_class, rec_cert_from_ap, stagewise_class,
                                validate_system, verify_ap, verify_recurrence)
 from cantordyn.words import all_words, periodic_word, words_up_to
 
@@ -139,40 +139,93 @@ class TestRecurrenceCerts:
         assert not verify_recurrence(X, RecCert(((3, 1, 3),)))
 
 
+def reference_ap_row(X, c, b):
+    """Row ``(c, b)`` witnessed directly on the orbit of ``X``, or None: the
+    retry step that ``least_ap_row`` replaces, kept as its reference."""
+    N = X.system.depth
+    orb = X.system.map.orbit(X.prefix, N)
+    target = X.prefix[:c]
+    last = N - b - c
+    if last < 0:
+        return None
+    wit = []
+    for n in range(last + 1):
+        found = None
+        for k in range(b):
+            it = orb[n + k]
+            if len(it) >= c and it.startswith(target):
+                found = k
+                break
+        if found is None:
+            return None
+        wit.append(found)
+    return APRow(c, b, tuple(wit))
+
+
+def reference_least_row(X, c):
+    """The first row that ``reference_ap_row`` finds trying ``b = 1, 2, …``."""
+    N = X.system.depth
+    return next((row for b in range(1, N - c + 1)
+                 if (row := reference_ap_row(X, c, b)) is not None), None)
+
+
+def least_rows(X, cs):
+    orb = X.system.map.orbit(X.prefix, X.system.depth)
+    return [least_ap_row(X, orb, c) for c in cs]
+
+
 class TestApCerts:
     def test_fixed_point_rows(self, full_shift12):
         X = full_shift12.point("0" * 12)
-        rows = [search_ap_row(X, c, 1) for c in range(1, 4)]
-        assert all(r is not None for r in rows)
+        rows = least_rows(X, range(1, 4))
+        assert [r.b for r in rows] == [1, 1, 1]
         assert verify_ap(X, APCert(tuple(rows)))
 
     def test_two_cycle_rows(self, full_shift12):
         X = full_shift12.point(periodic_word("01", 12))
-        rows = [search_ap_row(X, c, 2) for c in (1, 2)]
-        assert all(r is not None for r in rows)
+        rows = least_rows(X, (1, 2))
+        assert [r.b for r in rows] == [2, 2]
         assert verify_ap(X, APCert(tuple(rows)))
 
     def test_half_half_gap(self, full_shift12):
+        # the six starts in the ones wait forever; b = 6 leaves them undecided
         X = full_shift12.point("0" * 6 + "1" * 6)
+        (row,) = least_rows(X, (1,))
+        assert row == APRow(1, 6, (0,) * 6)
         for b in range(1, 6):
-            assert search_ap_row(X, 1, b) is None
             bogus = APRow(1, b, tuple(0 for _ in range(12 - b - 1 + 1)))
             assert not verify_ap(X, APCert((bogus,)))
 
+    def test_row_without_a_return_has_one_start(self, full_shift12):
+        # "1" never comes back: only b = N - c leaves a single start, n = 0
+        (row,) = least_rows(full_shift12.point("1" + "0" * 11), (1,))
+        assert row == APRow(1, 11, (0,))
+
     def test_ap_implies_rp(self, full_shift12):
         X = full_shift12.point(periodic_word("0011", 12))
-        rows = []
-        for c in (1, 2):
-            for b in range(1, 12):
-                r = search_ap_row(X, c, b)
-                if r:
-                    rows.append(r)
-                    break
-        ap = APCert(tuple(rows))
+        ap = APCert(tuple(least_rows(X, (1, 2))))
         assert verify_ap(X, ap)
         rc = rec_cert_from_ap(X, ap)
         assert len(rc.entries) == 2
         assert verify_recurrence(X, rc)
+
+    def test_rows_read_one_orbit(self, monkeypatch):
+        # every row comes from the survivor's one orbit, not one orbit per tried b
+        from cantordyn.refinement import construct_ap_point
+        N = 128
+        sys_ = DynSystem(explicit_class(2, N, fixed_point_factors(THUE_MORSE, N)),
+                         builtin_map("left-shift", 2, N))
+        orbit, calls = CodedMap.orbit, []
+
+        def counted_orbit(self, word, steps):
+            calls.append(word)
+            return orbit(self, word, steps)
+
+        monkeypatch.setattr(CodedMap, "orbit", counted_orbit)
+        X, cert, _ = construct_ap_point(sys_, [], c_max=10)
+        assert calls == [X.prefix]
+        monkeypatch.undo()
+        assert verify_ap(X, cert)
 
 
 class TestSearch:
@@ -208,10 +261,35 @@ class TestSearch:
 def test_search_row_matches_verify(word):
     sys_ = DynSystem(full_class(2, 12), builtin_map("left-shift", 2, 12))
     X = PointApprox(word, sys_)
-    for c, b in ((1, 3), (2, 5)):
-        row = search_ap_row(X, c, b)
-        if row is not None:
-            assert verify_ap(X, APCert((row,)))
+    for c in (1, 2):
+        row = least_rows(X, (c,))[0]
+        assert row is not None and verify_ap(X, APCert((row,)))
+        # no smaller bound verifies with any witnesses
+        assert row.b == 1 or reference_ap_row(X, c, row.b - 1) is None
+
+
+@st.composite
+def ap_points(draw):
+    """A point of the full binary class under the left shift or a random
+    normalized table, and a cylinder length below its depth."""
+    depth = draw(st.integers(5, 8))
+    if draw(st.booleans()):
+        f = builtin_map("left-shift", 2, depth)
+    else:
+        f = random_normalized_map(2, depth, random.Random(draw(st.integers(0, 2 ** 32))))
+    X = PointApprox(draw(st.text(alphabet="01", min_size=depth, max_size=depth)),
+                    DynSystem(full_class(2, depth), f))
+    return X, draw(st.integers(1, min(4, depth - 1)))
+
+
+@given(ap_points())
+@settings(max_examples=150, deadline=None)
+def test_least_ap_row_is_the_first_row_of_the_retry_loop(point):
+    X, c = point
+    row = least_rows(X, (c,))[0]
+    assert row == reference_least_row(X, c)
+    if row is not None:
+        assert verify_ap(X, APCert((row,)))
 
 
 # -- membership by child test, against the full-membership definitions ------
