@@ -14,8 +14,8 @@ from .maps import CodedMap, builtin_map, normalize
 from .systems import (APCert, APRow, ClosedClass, DynSystem, PointApprox,
                       RecCert, Report, explicit_class,
                       forbidden_window_class, full_class, orbit_class,
-                      rec_cert_from_ap, restrict_class, stagewise_class,
-                      validate_system, verify_ap, verify_recurrence)
+                      restrict_class, stagewise_class, validate_system,
+                      verify_ap, verify_recurrence)
 from .recurrence import (CoverStage, audit_cover_stages,
                          build_ternary_gadget, construct_recurrent_point,
                          gadget_recurrent_equals_paths, gadget_recurrent_set)

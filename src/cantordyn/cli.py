@@ -7,7 +7,8 @@ times the run and emits the report as canonically ordered JSON (sorted
 keys, two-space indent), so identical inputs give byte-identical output
 with ``timing_ms`` as the single nondeterministic entry.  Exit status is 0
 exactly when every embedded certificate re-verifies through the independent
-checkers, 1 when one does not, and 2 on malformed input.
+checkers, 1 when one does not, and 2 on malformed input or on a
+``piecewise`` map stack too deep to evaluate.
 """
 
 from __future__ import annotations
@@ -510,17 +511,21 @@ def main(argv: list[str] | None = None) -> int:
         t0 = time.monotonic()
         inputs, outcome, certificates, verified = args.fn(args, spec)
         timing_ms = int((time.monotonic() - t0) * 1000)
+        if spec is not None:
+            inputs["spec"] = emit_spec(spec)
+        text = canonical_json({"command": args.command, "inputs_digest": digest(inputs),
+                               "outcome": outcome, "certificates": certificates,
+                               "verified": verified, "timing_ms": timing_ms})
     except SpecFormatError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except CantorDynError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    if spec is not None:
-        inputs["spec"] = emit_spec(spec)
-    text = canonical_json({"command": args.command, "inputs_digest": digest(inputs),
-                           "outcome": outcome, "certificates": certificates,
-                           "verified": verified, "timing_ms": timing_ms})
+    except RecursionError:  # every piecewise layer nests the evaluation of its base
+        print("error: map: piecewise stack too deep to evaluate within Python's "
+              f"recursion limit ({sys.getrecursionlimit()})", file=sys.stderr)
+        return 2
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)

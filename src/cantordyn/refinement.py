@@ -24,7 +24,7 @@ from .errors import HorizonExhausted, InconsistentDepth, ModulusExhausted
 from .maps import CodedMap
 from .search import (OrbitAvoidance, PredicateAvoidance, avoidance_class,
                      death_length, find_member, iter_members)
-from .systems import (APCert, APRow, DynSystem, PointApprox, Report,
+from .systems import (APCert, DynSystem, PointApprox, Report,
                       least_ap_row, memo_class, restrict_class)
 from .words import all_words, has_prefix_in, prefix_core, words_up_to
 
@@ -400,12 +400,10 @@ class ApStageRecord(NamedTuple):
     avoided: tuple[str, ...] = ()
 
 
-class ApForcingLog:
-    def __init__(self, stages: list[ApStageRecord] | None = None,
-                 chain: PiecewiseIterate | None = None, final: DynSystem | None = None):
-        self.stages = [] if stages is None else stages
-        self.chain = chain
-        self.final = final
+class ApForcingLog(NamedTuple):
+    stages: tuple[ApStageRecord, ...]
+    chain: PiecewiseIterate
+    final: DynSystem
 
     def to_json(self):
         return [{"kind": st.kind, "label": st.label, "case": st.case,
@@ -432,7 +430,7 @@ def construct_ap_point(sys_: DynSystem, requests: list[OpenRequest], c_max: int 
     cur = DynSystem(sys_.space, chain.induced())
     # the same map one meet factor at a time, for the chain's soundness check
     stepwise = cur.map
-    log = ApForcingLog()
+    stages: list[ApStageRecord] = []
 
     for t in range(max(len(requests), c_max)):
         if t < len(requests):
@@ -443,30 +441,21 @@ def construct_ap_point(sys_: DynSystem, requests: list[OpenRequest], c_max: int 
                 stepwise = PiecewiseIterate(ref.cert.l, ref.cert.b, stepwise,
                                             ref.cert.j).induced()
             else:
-                cur = DynSystem(ref.child.space, cur.map)
-            log.stages.append(ApStageRecord("request", requests[t].name, case=case,
-                                            s=ref.meta.get("s"), chain_bound=chain.b))
+                cur = ref.child
+            stages.append(ApStageRecord("request", requests[t].name, case=case,
+                                        s=ref.meta.get("s"), chain_bound=chain.b))
         if t < c_max:
             res = nbh_periodicity(cur, t + 1)
-            cur = DynSystem(res.system.space, cur.map)
-            log.stages.append(ApStageRecord("periodicity", f"i={t + 1}", cylinder=t + 1,
-                                            return_bound=res.b, chain_bound=chain.b,
-                                            avoided=res.avoided))
+            cur = res.system
+            stages.append(ApStageRecord("periodicity", f"i={t + 1}", cylinder=t + 1,
+                                        return_bound=res.b, chain_bound=chain.b,
+                                        avoided=res.avoided))
 
+    log = ApForcingLog(tuple(stages), chain, DynSystem(cur.space, stepwise))
     word = find_member(cur.space, N)
     if word is None:
         raise HorizonExhausted("no full-depth survivor after forcing", partial=log)
     X = sys_.point(word)
-
     orb = f0.orbit(word, N)
-    rows: list[APRow] = []
-    for c in range(1, c_max + 1):
-        row = least_ap_row(X, orb, c)
-        if row is None:
-            raise HorizonExhausted(f"no gap bound verifies for cylinder length {c}",
-                                   partial=log)
-        rows.append(row)
-    cert = APCert(tuple(rows))
-    log.chain = chain
-    log.final = DynSystem(cur.space, stepwise)
+    cert = APCert(tuple(least_ap_row(X, orb, c) for c in range(1, c_max + 1)))
     return X, cert, log

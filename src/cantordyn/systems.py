@@ -190,7 +190,9 @@ class RecCert(NamedTuple):
 class APRow(NamedTuple):
     """One almost-periodicity row: cylinder length ``c``, gap bound ``b``, and
     a witness ``k < b`` for every start ``n`` in the decidable range
-    ``0 ≤ n ≤ N − b − c`` (``None`` marks starts with no room at depth)."""
+    ``0 ≤ n ≤ N − b − c``.  A constructed witness is never ``None``: the row
+    covers only those starts, and each returns within ``b``.  ``verify_ap``
+    still rejects a ``None`` witness."""
 
     c: int
     b: int
@@ -346,25 +348,18 @@ def return_waits(orb: list[str], target: str) -> list[int | None]:
     return waits
 
 
-def least_ap_row(X: PointApprox, orb: list[str], c: int) -> APRow | None:
+def least_ap_row(X: PointApprox, orb: list[str], c: int) -> APRow:
     """The row ``(c, b)`` with the least gap bound ``b`` that verifies on
-    ``orb``, the orbit of ``X``, or None.  Bound ``b`` holds when every start
-    ``n ≤ N − b − c`` waits less than ``b``, so one running maximum of the
-    waits decides every ``b``; the witnesses are the waits."""
+    ``orb``, the orbit of ``X``, for ``1 ≤ c < N``.  Bound ``b`` holds when
+    every start ``n ≤ N − b − c`` waits less than ``b``, so one running
+    maximum of the waits decides every ``b``; the witnesses are the waits.
+    A row always exists: ``b = N − c`` leaves the one start ``n = 0``, which
+    waits 0 since ``orb[0]`` is ``X`` itself."""
     N = X.system.depth
+    if not 1 <= c < N:
+        raise ValueError(f"cylinder length {c} must be in 1..{N - 1}")
     waits = return_waits(orb, X.prefix[:c])
     # running[n]: the longest wait at a start ≤ n; no return counts as N + 1
     running = list(accumulate((N + 1 if k is None else k for k in waits[:N - c]), max))
-    b = next((b for b in range(1, N - c + 1) if running[N - b - c] < b), None)
-    return None if b is None else APRow(c, b, tuple(waits[:N - b - c + 1]))
-
-
-def rec_cert_from_ap(X: PointApprox, cert: APCert) -> RecCert:
-    """Every verifying AP certificate yields a verifying recurrence
-    certificate: an almost periodic point is a recurrent point."""
-    entries = []
-    for row in cert.rows:
-        n0 = row.c + 1  # return time strictly beyond the cylinder length
-        if n0 < len(row.witnesses) and row.witnesses[n0] is not None:
-            entries.append((row.c, n0 + row.witnesses[n0], X.system.depth))
-    return RecCert(tuple(entries))
+    b = next(b for b in range(1, N - c + 1) if running[N - b - c] < b)
+    return APRow(c, b, tuple(waits[:N - b - c + 1]))

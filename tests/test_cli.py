@@ -1,6 +1,10 @@
 import argparse
 import inspect
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -697,3 +701,39 @@ class TestDeterminism:
             c2, r2 = run_to_json(argv, tmp_path, f"b{idx}.json")
             assert c1 == c2 == 0, argv
             assert _stable(r1) == _stable(r2), argv
+
+
+def _stacked_spec(layers: int) -> str:
+    """A golden-mean spec whose map is ``layers`` piecewise layers (``l = 0``,
+    ``b = 1``) over ``shift``, written as text: ``json.dumps`` recurses too."""
+    m = '{"kind": "shift"}'
+    for _ in range(layers):
+        m = f'{{"kind": "piecewise", "l": 0, "b": 1, "j": [["", 1]], "base": {m}}}'
+    return ('{"alphabet": 2, "depth": 16, "stage_horizon": 0, '
+            f'"tree": {{"kind": "forbidden_words", "words": ["11"]}}, "map": {m}}}')
+
+
+def _run_on_stack(command: str, layers: int, tmp_path):
+    """The CLI in a fresh interpreter, whose stack depth pytest does not add to."""
+    spec = tmp_path / f"stack{layers}.json"
+    spec.write_text(_stacked_spec(layers))
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    return subprocess.run([sys.executable, "-m", "cantordyn.cli", command, str(spec)],
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
+class TestDeepMapStacks:
+    @pytest.mark.parametrize("layers", [340, 900])
+    @pytest.mark.parametrize("command", ["orbit", "recurrent", "ap-point"])
+    def test_too_deep_is_a_located_error(self, command, layers, tmp_path):
+        done = _run_on_stack(command, layers, tmp_path)
+        assert done.returncode == 2
+        assert done.stderr.startswith("error: map: piecewise stack too deep")
+        assert "Traceback" not in done.stderr
+
+    @pytest.mark.parametrize("command", ["orbit", "ap-point"])
+    def test_300_layers_still_run(self, command, tmp_path):
+        done = _run_on_stack(command, 300, tmp_path)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["verified"] is True

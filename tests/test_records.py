@@ -11,8 +11,8 @@ from cantordyn.avoidance import DodgeOutcome, SigmaSequence
 from cantordyn.maps import builtin_map
 from cantordyn.minimal import HaltingSim, RemovalStage
 from cantordyn.recurrence import CoverStage
-from cantordyn.refinement import (ApStageRecord, NbhResult, OpenRequest, Phi1Predicate,
-                                  PredicateRequest, Refinement, trivial_cert)
+from cantordyn.refinement import (ApForcingLog, ApStageRecord, NbhResult, OpenRequest,
+                                  Phi1Predicate, PredicateRequest, Refinement, trivial_cert)
 from cantordyn.systems import APCert, APRow, DynSystem, PointApprox, RecCert, full_class
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -41,6 +41,8 @@ RECORDS = {
     "APRow": lambda: APRow(1, 1, (0, 0)),
     "APCert": lambda: APCert((APRow(1, 1, (0, 0)),)),
     "ApStageRecord": lambda: ApStageRecord("periodicity", "i=1", cylinder=1),
+    "ApForcingLog": lambda: ApForcingLog((ApStageRecord("request", "u", case="avoid"),),
+                                         CERT, SYS),
     "DynSystem": lambda: DynSystem(CLS, SHIFT),
     "PointApprox": lambda: PointApprox("0101", SYS),
     "HaltingSim": lambda: HaltingSim(((0, 1), (1, None)), 2),

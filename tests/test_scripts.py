@@ -102,3 +102,14 @@ def test_ab_rounds_checkout_against_itself():
     assert "reports match apart from timing_ms: yes" in done.stdout
     assert "seed 1: parent" in done.stdout
     assert sorted(p.relative_to(ROOT) for p in (ROOT / "perfbench").rglob("*")) == before
+
+
+def test_mutant_list_is_current():
+    # each mutant's old text still occurs exactly once, so the list cannot go
+    # stale; running the mutants is left to the script
+    spec = importlib.util.spec_from_file_location("mutants", ROOT / "scripts" / "mutants.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    for m in script.MUTANTS:
+        assert (ROOT / m.file).read_text(encoding="utf-8").count(m.old) == 1, m.reason
+        assert m.old != m.new and all((ROOT / t).is_file() for t in m.tests), m.reason

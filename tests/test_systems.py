@@ -2,7 +2,8 @@ import random
 import tracemalloc
 
 import pytest
-from conftest import THUE_MORSE, fixed_point_factors, random_normalized_map, word_sets_and_words
+from conftest import (FIBONACCI, THUE_MORSE, fixed_point_factors, random_normalized_map,
+                      word_sets_and_words)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,7 +15,7 @@ from cantordyn.search import (OrbitAvoidance, avoidance_class, death_length,
 from cantordyn.systems import (APCert, APRow, DynSystem, PointApprox, RecCert,
                                Report, cylinder_class, explicit_class,
                                forbidden_window_class, full_class, memo_class,
-                               least_ap_row, orbit_class, rec_cert_from_ap, stagewise_class,
+                               least_ap_row, orbit_class, stagewise_class,
                                validate_system, verify_ap, verify_recurrence)
 from cantordyn.words import all_words, periodic_word, words_up_to
 
@@ -202,12 +203,46 @@ class TestApCerts:
         assert row == APRow(1, 11, (0,))
 
     def test_ap_implies_rp(self, full_shift12):
+        # an almost periodic point is recurrent: the witness at start c + 1
+        # gives a return time past the cylinder length
         X = full_shift12.point(periodic_word("0011", 12))
         ap = APCert(tuple(least_rows(X, (1, 2))))
         assert verify_ap(X, ap)
-        rc = rec_cert_from_ap(X, ap)
-        assert len(rc.entries) == 2
+        rc = RecCert(tuple((r.c, r.c + 1 + r.witnesses[r.c + 1], 12) for r in ap.rows))
         assert verify_recurrence(X, rc)
+
+    def test_rows_exist_only_below_depth(self, full_shift12):
+        X = full_shift12.point(periodic_word("01", 12))
+        orb = X.system.map.orbit(X.prefix, 12)
+        for c in (0, 12):
+            with pytest.raises(ValueError, match=f"cylinder length {c} must be in 1..11"):
+                least_ap_row(X, orb, c)
+
+    def test_rejects_a_witness_equal_to_the_bound(self, full_shift12):
+        # the eleven starts of b = 1 wait 0 or 1, and k = 1 is no witness for b = 1
+        X = full_shift12.point(periodic_word("01", 12))
+        assert least_rows(X, (1,)) == [APRow(1, 2, (0, 1) * 5)]
+        assert not verify_ap(X, APCert((APRow(1, 1, (0, 1) * 5 + (0,)),)))
+
+    def test_rejects_a_wrong_witness_count_without_raising(self, full_shift12):
+        X = full_shift12.point(periodic_word("01", 12))
+        (row,) = least_rows(X, (1,))
+        for witnesses in (row.witnesses[:-1], row.witnesses + (0,)):
+            assert not verify_ap(X, APCert((row._replace(witnesses=witnesses),)))
+
+    def test_rejects_an_empty_cylinder(self, full_shift12):
+        # every iterate extends the empty word, so only the check on c refuses it
+        X = full_shift12.point(periodic_word("01", 12))
+        assert not verify_ap(X, APCert((APRow(0, 1, (0,) * 12),)))
+
+    @pytest.mark.parametrize("rules", [FIBONACCI, THUE_MORSE], ids=["fibonacci", "thue-morse"])
+    def test_every_cylinder_below_depth_has_a_row(self, rules):
+        from cantordyn.refinement import construct_ap_point
+        sys_ = DynSystem(explicit_class(2, 16, fixed_point_factors(rules, 16)),
+                         builtin_map("left-shift", 2, 16))
+        X, cert, _ = construct_ap_point(sys_, [], c_max=15)
+        assert [(r.c, r.b) for r in cert.rows[-2:]] == [(14, 2), (15, 1)]
+        assert all(verify_ap(X, APCert((row,))) for row in cert.rows)
 
     def test_rows_read_one_orbit(self, monkeypatch):
         # every row comes from the survivor's one orbit, not one orbit per tried b
@@ -263,7 +298,7 @@ def test_search_row_matches_verify(word):
     X = PointApprox(word, sys_)
     for c in (1, 2):
         row = least_rows(X, (c,))[0]
-        assert row is not None and verify_ap(X, APCert((row,)))
+        assert verify_ap(X, APCert((row,)))
         # no smaller bound verifies with any witnesses
         assert row.b == 1 or reference_ap_row(X, c, row.b - 1) is None
 
@@ -271,7 +306,7 @@ def test_search_row_matches_verify(word):
 @st.composite
 def ap_points(draw):
     """A point of the full binary class under the left shift or a random
-    normalized table, and a cylinder length below its depth."""
+    normalized table, and any cylinder length below its depth."""
     depth = draw(st.integers(5, 8))
     if draw(st.booleans()):
         f = builtin_map("left-shift", 2, depth)
@@ -279,7 +314,7 @@ def ap_points(draw):
         f = random_normalized_map(2, depth, random.Random(draw(st.integers(0, 2 ** 32))))
     X = PointApprox(draw(st.text(alphabet="01", min_size=depth, max_size=depth)),
                     DynSystem(full_class(2, depth), f))
-    return X, draw(st.integers(1, min(4, depth - 1)))
+    return X, draw(st.integers(1, depth - 1))
 
 
 @given(ap_points())
@@ -288,8 +323,7 @@ def test_least_ap_row_is_the_first_row_of_the_retry_loop(point):
     X, c = point
     row = least_rows(X, (c,))[0]
     assert row == reference_least_row(X, c)
-    if row is not None:
-        assert verify_ap(X, APCert((row,)))
+    assert verify_ap(X, APCert((row,)))
 
 
 # -- membership by child test, against the full-membership definitions ------
