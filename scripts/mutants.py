@@ -50,6 +50,15 @@ MUTANTS = [
            ">= b_max for w in members)", "> b_max for w in members)",
            ("tests/test_avoidance.py",),
            "verify_not_ap off by one: it asks for a run longer than b_max"),
+    Mutant("src/cantordyn/maps.py",
+           "if m <= cap and least[m] < l:", "if m <= cap and least[m] <= l:",
+           ("tests/test_words_maps.py",),
+           "CodedMap.check flags a modulus witness whose least image is exactly l letters"),
+    Mutant("src/cantordyn/refinement.py",
+           "            if member(w) and not member(want):\n"
+           "                rep.add(\"cert-invariance\", w, f\"f^j image {want!r} leaves the child\")\n",
+           "", ("tests/test_refinement.py",),
+           "check_refinement_cert without its invariance test: a child that leaves itself passes"),
 ]
 
 

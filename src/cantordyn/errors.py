@@ -10,7 +10,7 @@ class DepthExceeded(CantorDynError):
 
 
 class ModulusExhausted(CantorDynError):
-    """No recorded modulus witness covers the requested output length."""
+    """No modulus witness within the depth covers the requested output length."""
 
     def __init__(self, length, detail=""):
         super().__init__(f"no modulus witness for output length {length}" + (f" ({detail})" if detail else ""))

@@ -1,10 +1,11 @@
 """Encoded continuous transformations of Cantor space.
 
 A :class:`CodedMap` is a total, prefix-order-preserving word function whose
-output length is controlled by a modulus: for each recorded ``l`` there is a
-witness ``m`` such that every input of length ``m`` has an image of length at
-least ``l``.  A map is *normalized* when every nonempty input strictly
-shrinks, ``|f(σ)| < |σ|``; all system constructions assume normalized maps.
+output length is controlled by a modulus: a function giving, for each
+output length ``l``, a witness ``m`` such that every input of length ``m``
+has an image of length at least ``l``.  A map is *normalized* when every
+nonempty input strictly shrinks, ``|f(σ)| < |σ|``; all system constructions
+assume normalized maps.
 
 Tables given by rule (the shift, the gadget map of the tree reduction) are
 materialized lazily with memoization, so validators and certificate checkers
@@ -15,7 +16,6 @@ bound) come from one orbit walk, :meth:`CodedMap.hit_time`, that stops at λ.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from typing import Callable, Mapping
 
 from .errors import DepthExceeded, ModulusExhausted
@@ -25,37 +25,34 @@ from .words import all_words, check_word, letters
 class CodedMap:
     """A word-to-word table encoding a continuous self-map of ``k^ω``.
 
-    ``moduli`` maps output lengths to witnessed input lengths; only witnessed
-    lengths are recorded and :meth:`modulus` raises :class:`ModulusExhausted`
-    beyond them.  ``suffix_step`` marks the fast path ``f(σ) = σ[step:]``.
+    ``modulus`` is a function from an output length ``l ≥ 1`` to a witnessed
+    input length, or to any length past ``depth`` when none within it is
+    known; :meth:`modulus` raises :class:`ModulusExhausted` for those, and
+    :meth:`check` asks it at every ``l`` up to the depth.  ``suffix_step``
+    marks the fast path ``f(σ) = σ[step:]``.
     ``drop = (l, d)`` marks a variable-drop map: ``f(σ) = σ[min(d(σ↾l), |σ|):]``
     when ``|σ| ≥ l`` and ``f(σ) = λ`` otherwise, with ``d ≥ 1``; the rule
     stays the reference and the descriptor only lets searches follow orbits
     as offsets into σ.
     """
 
-    __slots__ = ("k", "depth", "name", "moduli", "shrinking", "suffix_step",
-                 "drop", "_rule", "_memo", "_mod_keys", "_mod_min")
+    __slots__ = ("k", "depth", "name", "shrinking", "suffix_step", "drop",
+                 "_rule", "_modulus", "_memo")
 
     def __init__(self, k: int, depth: int, rule: Callable[[str], str],
-                 moduli: Mapping[int, int], *, shrinking: bool = False,
+                 modulus: Callable[[int], int], *, shrinking: bool = False,
                  suffix_step: int | None = None,
                  drop: tuple[int, Callable[[str], int]] | None = None,
                  name: str = "map"):
         self.k = k
         self.depth = depth
         self.name = name
-        self.moduli = dict(moduli)
         self.shrinking = shrinking
         self.suffix_step = suffix_step
         self.drop = drop
         self._rule = rule
+        self._modulus = modulus
         self._memo: dict[str, str] = {}
-        # _mod_min[i] = least witness recorded for any length ≥ _mod_keys[i]
-        self._mod_keys = sorted(self.moduli)
-        self._mod_min = [self.moduli[l] for l in self._mod_keys]
-        for i in range(len(self._mod_min) - 2, -1, -1):
-            self._mod_min[i] = min(self._mod_min[i], self._mod_min[i + 1])
 
     def __repr__(self):
         return f"CodedMap({self.name}, k={self.k}, depth={self.depth})"
@@ -105,10 +102,10 @@ class CodedMap:
         """A witnessed input length forcing outputs of length ≥ ``l``."""
         if l <= 0:
             return 0
-        i = bisect_left(self._mod_keys, l)
-        if i == len(self._mod_keys) or self._mod_min[i] > self.depth:
+        m = self._modulus(l)
+        if m > self.depth:
             raise ModulusExhausted(l, self.name)
-        return self._mod_min[i]
+        return m
 
     def check(self, max_len: int | None = None) -> list[str]:
         """Exhaustively check the table invariants up to ``max_len``.
@@ -144,7 +141,8 @@ class CodedMap:
                         shrink.append(f"shrink violated at {wa!r}: |f| = {len(fwa)}")
             least.append(min(lens))
         bad += order + shrink
-        for l, m in sorted(self.moduli.items()):
+        for l in range(1, self.depth + 1):
+            m = self._modulus(l)
             if m <= cap and least[m] < l:
                 w = next(w for w in all_words(self.k, m) if len(rule(w)) < l)
                 bad.append(f"modulus witness {m} fails for l={l} at {w!r}")
@@ -154,7 +152,8 @@ class CodedMap:
     def from_table(cls, k: int, depth: int, table: Mapping[str, str], *,
                    name: str = "table") -> "CodedMap":
         """Wrap an explicit dense table; totality and letters are enforced,
-        moduli are computed by scan, the shrink flag by inspection."""
+        the modulus is read off each length's least image length, the shrink
+        flag by inspection."""
         tbl = dict(table)
         for n in range(depth + 1):
             for w in all_words(k, n):
@@ -162,14 +161,10 @@ class CodedMap:
                     raise ValueError(f"table not total: missing {w!r}")
                 check_word(tbl[w], k)
         min_out = [min(len(tbl[w]) for w in all_words(k, n)) for n in range(depth + 1)]
-        moduli = {0: 0}
-        for l in range(1, depth + 1):
-            for m in range(depth + 1):
-                if min_out[m] >= l:
-                    moduli[l] = m
-                    break
         shrinking = all(len(tbl[w]) < n for n in range(1, depth + 1) for w in all_words(k, n))
-        return cls(k, depth, tbl.__getitem__, moduli, shrinking=shrinking, name=name)
+        return cls(k, depth, tbl.__getitem__,
+                   lambda l: next((m for m, out in enumerate(min_out) if out >= l), depth + 1),
+                   shrinking=shrinking, name=name)
 
 
 def normalize(m: CodedMap) -> CodedMap:
@@ -187,12 +182,8 @@ def normalize(m: CodedMap) -> CodedMap:
         out = m.apply(w)
         return out[:min(len(out), len(w) - 1)]
 
-    moduli = {0: 0}
-    for l, wit in m.moduli.items():
-        if l > 0 and max(wit, l + 1) <= m.depth:
-            moduli[l] = max(wit, l + 1)
-    return CodedMap(m.k, m.depth, rule, moduli, shrinking=True,
-                    name=f"normalize({m.name})")
+    return CodedMap(m.k, m.depth, rule, lambda l: max(m._modulus(l), l + 1),
+                    shrinking=True, name=f"normalize({m.name})")
 
 
 def builtin_map(kind: str, k: int, depth: int, *, columns: int | None = None) -> CodedMap:
@@ -202,19 +193,16 @@ def builtin_map(kind: str, k: int, depth: int, *, columns: int | None = None) ->
     if depth < 1:
         raise ValueError("depth must be >= 1")
     if kind == "left-shift":
-        return CodedMap(k, depth, lambda w: w[1:],
-                        {l: l + 1 for l in range(depth)} | {0: 0},
+        return CodedMap(k, depth, lambda w: w[1:], lambda l: l + 1,
                         shrinking=True, suffix_step=1, name="left-shift")
     if kind == "identity":
-        return CodedMap(k, depth, lambda w: w[:-1],
-                        {l: l + 1 for l in range(depth)} | {0: 0},
+        return CodedMap(k, depth, lambda w: w[:-1], lambda l: l + 1,
                         shrinking=True, name="identity")
     if kind == "column-shift":
         if not columns or columns < 1:
             raise ValueError("column-shift needs a positive column count")
         c = columns
-        return CodedMap(k, depth, lambda w: w[c:],
-                        {l: l + c for l in range(depth) if l + c <= depth} | {0: 0},
+        return CodedMap(k, depth, lambda w: w[c:], lambda l: l + c,
                         shrinking=True, suffix_step=c, name=f"column-shift({c})")
     raise ValueError(f"unsupported builtin map kind {kind!r}")
 

@@ -83,8 +83,8 @@ def _gadget(tree: ClosedClass) -> tuple[CodedMap, Callable[[str], str]]:
         succ = "1" if branch == "0" else "2"
         return (rho + succ + "0" * n)[:n]
 
-    return CodedMap(3, tree.depth, rule, {l: l + 1 for l in range(tree.depth)} | {0: 0},
-                    shrinking=True, name="gadget"), shortest_off_tree
+    return CodedMap(3, tree.depth, rule, lambda l: l + 1, shrinking=True,
+                    name="gadget"), shortest_off_tree
 
 
 def gadget_recurrent_set(tree: ClosedClass, scan_depth: int) -> set[str]:
@@ -207,8 +207,8 @@ def _store_stage(state: _StageState, s: int, k: int) -> set[str]:
     long, so a word longer than ``m`` and than every word of the previous
     store qualifies exactly when its prefix of that length does, and no
     minimal qualifying word is longer.  For a suffix map ``σ ↦ σ[step:]``,
-    ``m`` is ``s·step + p``; when the map records no such modulus the cap is
-    the working depth.
+    ``m`` is ``s·step + p``; when the map has no such witness the cap is the
+    working depth.
 
     The walk is a depth-first stack of ``(word, has a proper prefix in the
     previous store, returns by s)`` entries, and stored words are leaves.  A

@@ -68,34 +68,29 @@ class PiecewiseIterate:
         ``d = s·j``, and carries that descriptor for the searches.
         """
         if self._induced is None:
-            base, l, j = self.base, self.l, self.j
-            s = base.suffix_step
+            base, l, b, j = self.base, self.l, self.b, self.j
+            s, depth = base.suffix_step, base.depth
 
             def rule(w: str) -> str:
                 if len(w) < l:
                     return ""
                 return base.iterate(w, j(w[:l]))
 
-            # one[t] = base.modulus(t), with depth + 1 for an exhausted one;
-            # b passes compose it into the modulus of f^b at every t
-            depth = base.depth
-            one = []
-            for t in range(depth + 1):
+            # b base moduli of t, raised to the lookup length: composed only
+            # for the lengths asked, once each
+            @functools.cache
+            def modulus(t: int) -> int:
                 try:
-                    one.append(base.modulus(t))
+                    for _ in range(b):
+                        t = base.modulus(t)
                 except ModulusExhausted:
-                    one.append(depth + 1)
-            one.append(depth + 1)
-            need = one
-            for _ in range(self.b - 1):
-                need = [one[m] for m in need]
-            moduli = {0: 0}
-            moduli.update((t, max(m, l)) for t, m in enumerate(need)
-                          if t and max(m, l) <= depth)
+                    return depth + 1
+                return max(t, l)
+
             drop = (l, lambda w: s * j(w)) if s else None
-            self._induced = CodedMap(base.k, base.depth, rule, moduli,
+            self._induced = CodedMap(base.k, depth, rule, modulus,
                                      shrinking=base.shrinking, drop=drop,
-                                     name=f"pw(l={l},b={self.b})∘{base.name}")
+                                     name=f"pw(l={l},b={b})∘{base.name}")
         return self._induced
 
     def j_table(self) -> dict[str, int] | None:

@@ -316,12 +316,13 @@ class TestConstructRecurrentPoint:
         assert built[-1] == 2 ** 18 + 1
 
     def test_deep_non_suffix_store_runs_out_of_budget(self, monkeypatch):
-        # with no moduli past 0 the store walk goes to the working depth; an
-        # explicit stack lets it reach its budget instead of the recursion limit
+        # with no modulus witness within the depth the store walk goes to the
+        # working depth; an explicit stack lets it reach its budget instead of
+        # the recursion limit
         N = 1200
         pw = PiecewiseIterate(1, 2, builtin_map("left-shift", 2, N),
                               {"0": 1, "1": 2}.__getitem__).induced()
-        f = CodedMap(2, N, pw.apply, {0: 0}, shrinking=True)
+        f = CodedMap(2, N, pw.apply, lambda l: N + 1, shrinking=True)
         sys_ = DynSystem(forbidden_window_class(2, N, ["11"]), f)
         monkeypatch.setattr(recurrence, "_STORE_NODE_BUDGET", 5000)
         with pytest.raises(HorizonExhausted, match="store enumeration budget"):
@@ -670,7 +671,7 @@ class TestCoverAudit:
                 calls[word] += 1
                 return super().apply(word)
 
-        f = CountedMap(2, 16, lambda w: w[1:], {l: l + 1 for l in range(16)} | {0: 0},
+        f = CountedMap(2, 16, lambda w: w[1:], lambda l: l + 1,
                        shrinking=True, suffix_step=1, name="left-shift")
         sys_ = DynSystem(forbidden_window_class(2, 16, ["101"]), f)
         _, _, stages = construct_recurrent_point(sys_, stages=4)

@@ -11,14 +11,16 @@ from cantordyn import refinement
 from cantordyn.errors import HorizonExhausted, ModulusExhausted
 from cantordyn.maps import CodedMap, builtin_map
 from cantordyn.refinement import (NbhResult, OpenRequest, Phi1Predicate,
-                                  PiecewiseIterate, check_piecewise_samples,
+                                  PiecewiseIterate, Refinement, check_piecewise_samples,
                                   check_refinement_cert, compose, construct_ap_point,
-                                  least_element_forcing, meet_or_avoid, nbh_periodicity)
+                                  least_element_forcing, meet_or_avoid, nbh_periodicity,
+                                  trivial_cert)
 from cantordyn.search import (OrbitAvoidance, avoidance_class, death_length,
                               find_member, iter_members)
 from cantordyn.systems import (ClosedClass, DynSystem, explicit_class,
                                forbidden_window_class, full_class, memo_class,
-                               orbit_class, stagewise_class, validate_system, verify_ap)
+                               orbit_class, restrict_class, stagewise_class,
+                               validate_system, verify_ap)
 from cantordyn.words import all_words, periodic_word, words_up_to
 
 N = 12
@@ -38,22 +40,39 @@ C9_REQUESTS = [OpenRequest.static("u0", ["0"]), OpenRequest.static("u1", ["01"])
                OpenRequest("u4", ((0, "000"), (4, "010")))]
 
 
-def per_t_moduli(cert):
-    """The induced map's moduli by ``b`` bisects per output length: the
-    oracle for the one-pass table of :meth:`PiecewiseIterate.induced`."""
-    base = cert.base
-    moduli = {0: 0}
-    for t in range(1, base.depth + 1):
-        need = t
+def read_moduli(m):
+    """``t ↦ m.modulus(t)`` for every ``t`` in ``0..depth`` that does not
+    raise :class:`ModulusExhausted`."""
+    got = {}
+    for t in range(m.depth + 1):
         try:
-            for _ in range(cert.b):
-                need = base.modulus(need)
+            got[t] = m.modulus(t)
         except ModulusExhausted:
-            continue
-        need = max(need, cert.l)
-        if need <= base.depth:
-            moduli[t] = need
+            pass
+    return got
+
+
+def composed_moduli(base, l, b, depth):
+    """The moduli of an ``(l, b, ·)`` certificate's induced map, from the
+    base's moduli ``base`` (as :func:`read_moduli` gives them) by ``b``
+    lookups per output length."""
+    moduli = {0: 0}
+    for t in range(1, depth + 1):
+        need = t
+        for _ in range(b):
+            need = base.get(need)
+            if need is None:
+                break
+        else:
+            if max(need, l) <= depth:
+                moduli[t] = max(need, l)
     return moduli
+
+
+def per_t_moduli(cert):
+    """The induced map's moduli by ``b`` base moduli per output length: the
+    oracle for the modulus of :meth:`PiecewiseIterate.induced`."""
+    return composed_moduli(read_moduli(cert.base), cert.l, cert.b, cert.base.depth)
 
 
 class TestInducedMap:
@@ -103,7 +122,7 @@ class TestInducedMap:
         # the moduli depend on l, b and the base alone; at N=64 the lengths
         # past 28 are exhausted
         cert = PiecewiseIterate(39, 36, shift(depth), lambda w: 1)
-        got = cert.induced().moduli
+        got = read_moduli(cert.induced())
         assert got == per_t_moduli(cert)
         assert len(got) == depth - 35
 
@@ -116,7 +135,47 @@ class TestInducedMap:
         l, b = rng.randint(0, 3), rng.randint(1, 4)
         odd = PiecewiseIterate(l, b, base, lambda w: 1)  # exhausted moduli likely
         for cert in (inner, outer, odd):
-            assert cert.induced().moduli == per_t_moduli(cert)
+            assert read_moduli(cert.induced()) == per_t_moduli(cert)
+
+    def test_building_asks_no_modulus(self):
+        # a work guard that counts instead of timing: the induced map asks
+        # its base only for the moduli asked of it, once each
+        asked = Counter()
+
+        def witness(l):
+            asked[l] += 1
+            return l + 1
+
+        base = CodedMap(2, N, lambda w: w[1:], witness, shrinking=True, suffix_step=1)
+        g = PiecewiseIterate(2, 3, base, lambda w: 1 + w.count("1")).induced()
+        assert not asked
+        assert [g.modulus(4), g.modulus(4)] == [7, 7]
+        assert asked == {4: 1, 5: 1, 6: 1}
+        for _ in range(2):
+            with pytest.raises(ModulusExhausted):
+                g.modulus(N - 2)
+        assert asked == {4: 1, 5: 1, 6: 1, N - 2: 1, N - 1: 1, N: 1}
+        assert g.modulus(0) == 0 and len(asked) == 6
+
+    @given(st.integers(0, 2 ** 31 - 1), st.booleans(),
+           st.lists(st.tuples(st.integers(0, 4), st.integers(1, 4)), min_size=1, max_size=3))
+    @settings(max_examples=60, deadline=None)
+    def test_nested_layers_match_per_t_moduli(self, seed, table, layers):
+        # each layer is induced over the map the previous layer induced, as
+        # stepwise and the meet child build them
+        rng = random.Random(seed)
+        g = random_normalized_map(2, 7, rng) if table else shift()
+        want = read_moduli(g)
+        for l, b in layers:
+            exps = {w: rng.randint(1, b) for w in all_words(2, l)}
+            g = PiecewiseIterate(l, b, g, exps.__getitem__).induced()
+            want = composed_moduli(want, l, b, g.depth)
+            for t in range(g.depth + 1):
+                if t in want:
+                    assert g.modulus(t) == want[t]
+                else:
+                    with pytest.raises(ModulusExhausted):
+                        g.modulus(t)
 
     def test_freed_without_cyclic_gc(self):
         # the induced map must not refer back to its certificate, or both
@@ -244,6 +303,16 @@ class TestMeetOrAvoid:
         assert r.cert.b == 2
         assert all(r.cert.j(w) == 1 for w in all_words(2, r.cert.l))
         assert check_refinement_cert(r, 10).ok
+
+    def test_cert_check_reports_a_child_that_leaves_itself(self):
+        # the words starting with 1 are not closed under the shift, which
+        # sends 10… to 0…: the map is sound, the child is not invariant
+        f = shift()
+        ones = restrict_class(full_class(2, N), lambda w: w[:1] != "0", name="1…")
+        rep = check_refinement_cert(Refinement(DynSystem(ones, f), trivial_cert(f), "avoid", {}), 4)
+        assert {c for c, _, _ in rep.entries} == {"cert-invariance"}
+        assert [w for _, w, _ in rep.entries] == [
+            w for n in range(5) for w in all_words(2, n) if w.startswith("10")]
 
     def test_golden_avoids_forbidden(self):
         gm = DynSystem(forbidden_window_class(2, N, ["11"]), shift())
@@ -603,7 +672,7 @@ class TestConstructApPoint:
         assert "meet" in cases and "avoid" in cases
         assert check_piecewise_samples(log.chain, log.final.map, 150, seed=2).ok
         assert (log.chain.l, log.chain.b) == (39, 36)
-        assert log.chain.induced().moduli == per_t_moduli(log.chain)
+        assert read_moduli(log.chain.induced()) == per_t_moduli(log.chain)
 
     def test_kept_layers_decide_each_word_once(self):
         # a work guard that counts instead of timing: the avoid children and

@@ -518,7 +518,7 @@ def validated_systems(draw):
         # so the letters that break order come before the parent's image ends
         table = {w: ("1" if fw[0] == "0" else "0") + fw[1:] if len(w) % 2 and fw else fw
                  for w, fw in ((w, m.apply(w)) for w in words_up_to(2, depth))}
-        m = CodedMap(2, depth, table.__getitem__, m.moduli, shrinking=True, name="broken")
+        m = CodedMap.from_table(2, depth, table, name="broken")
     return DynSystem(cls, m)
 
 

@@ -112,7 +112,7 @@ class TestNormalize:
         assert mh.apply("0") == ""
 
     def test_identity_table_drops_last(self):
-        m = CodedMap(2, 6, lambda w: w, {l: l for l in range(7)}, name="id")
+        m = CodedMap(2, 6, lambda w: w, lambda l: l, name="id")
         mh = normalize(m)
         for w in all_words(2, 4):
             assert mh.apply(w) == w[:-1]
@@ -156,19 +156,45 @@ class TestIterateMap:
         with pytest.raises(ModulusExhausted):
             m3.modulus(7)
 
-    @given(st.dictionaries(st.integers(0, 12), st.integers(0, 14), max_size=8),
-           st.integers(-1, 14))
-    @settings(max_examples=200, deadline=None)
-    def test_modulus_is_least_witness_at_or_above(self, moduli, l):
-        m = CodedMap(2, 10, lambda w: w[1:], moduli)
-        best = min((w for rec, w in moduli.items() if rec >= l), default=None)
-        if l <= 0:
-            assert m.modulus(l) == 0
-        elif best is None or best > 10:
-            with pytest.raises(ModulusExhausted):
+
+def least_witness(m, l):
+    """The least ``n`` for which every input of length ``n`` has an image of
+    at least ``l`` letters, by brute force, or ``depth + 1`` when no
+    ``n ≤ depth`` does."""
+    return next((n for n in range(m.depth + 1)
+                 if all(len(m.apply(w)) >= l for w in all_words(m.k, n))), m.depth + 1)
+
+
+@st.composite
+def modulus_maps(draw):
+    """A builtin map, a random normalized table (built by ``from_table``),
+    or the normalization of an order-preserving table that does not shrink,
+    over 2 or 3 letters at depth ≤ 6."""
+    k, depth = draw(st.integers(2, 3)), draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["left-shift", "identity", "column-shift", "table", "normalize"]))
+    if kind in ("left-shift", "identity"):
+        return builtin_map(kind, k, depth)
+    if kind == "column-shift":
+        return builtin_map(kind, k, depth, columns=draw(st.integers(1, 3)))
+    m = random_normalized_map(k, depth, random.Random(draw(st.integers(0, 2 ** 31 - 1))))
+    if kind == "table":
+        return m
+    # w ↦ w↾2 · f(w) keeps order, and a one-letter word maps to itself
+    return normalize(CodedMap.from_table(k, depth, {w: w[:2] + m.apply(w)
+                                                    for w in words_up_to(k, depth)}))
+
+
+@given(modulus_maps())
+@settings(max_examples=150, deadline=None)
+def test_modulus_is_the_least_witness(m):
+    assert m.check() == []
+    for l in range(-1, m.depth + 3):
+        want = least_witness(m, l) if l > 0 else 0
+        if want > m.depth:
+            with pytest.raises(ModulusExhausted, match=f"output length {l} "):
                 m.modulus(l)
         else:
-            assert m.modulus(l) == best
+            assert m.modulus(l) == want
 
 
 class TestIterateLaws:
@@ -244,7 +270,11 @@ def three_scan_check(m, cap):
             for w in all_words(m.k, n):
                 if len(m.apply(w)) >= n:
                     bad.append(f"shrink violated at {w!r}: |f| = {len(m.apply(w))}")
-    for l, wit in sorted(m.moduli.items()):
+    for l in range(1, m.depth + 1):
+        try:
+            wit = m.modulus(l)
+        except ModulusExhausted:
+            continue
         if wit <= cap:
             for w in all_words(m.k, wit):
                 if len(m.apply(w)) < l:
@@ -261,7 +291,7 @@ def faulty_maps(draw):
     k, depth = draw(st.integers(2, 3)), draw(st.integers(1, 6))
     m = random_normalized_map(k, depth, random.Random(draw(st.integers(0, 2 ** 31 - 1))))
     table = {w: m.apply(w) for w in words_up_to(k, depth)}
-    moduli = dict(m.moduli)
+    witness = {l: least_witness(m, l) for l in range(1, depth + 1)}
     fault = draw(st.sampled_from(["none", "order", "shrink", "modulus"]))
     w = draw(st.sampled_from(sorted(table)[1:]))
     if fault == "order":
@@ -271,8 +301,9 @@ def faulty_maps(draw):
         table[w] = (table[w] + "0" * len(w))[:len(w)]
     elif fault == "modulus":
         l = draw(st.integers(1, depth))
-        moduli[l] = draw(st.integers(0, depth))
-    return CodedMap(k, depth, table.__getitem__, moduli, shrinking=True, name="faulty")
+        witness[l] = draw(st.integers(0, witness[l] - 1))
+    return CodedMap(k, depth, table.__getitem__, witness.__getitem__, shrinking=True,
+                    name="faulty")
 
 
 @given(faulty_maps(), st.one_of(st.none(), st.integers(0, 6)))
