@@ -112,11 +112,10 @@ class CodedMap:
 
         Returns human-readable violations (empty when clean): ``f(λ)``, then
         order, shrink and moduli.  Order is checked on one-letter extensions,
-        which by transitivity covers every prefix pair.  One pass computes
-        each image once from the rule, without ``apply`` or its memo, a
-        level at a time, keeping each level's least image length.  A level
-        is rescanned word by word only when it fails the order or shrink
-        test, and a modulus only when that least length shows it failing.
+        which by transitivity covers every prefix pair.  Each image is
+        computed once from the rule, without ``apply`` or its memo, a level
+        at a time, keeping each level's least image length; a modulus
+        rescans its level only when that least length shows it failing.
         """
         cap = self.depth if max_len is None else min(max_len, self.depth)
         alpha = letters(self.k)
@@ -128,18 +127,19 @@ class CodedMap:
         least = [len(f0)]
         words, images = [""], [f0]
         for n in range(1, cap + 1):
-            parents = [fw for fw in images for _ in alpha]
-            words = [w + a for w in words for a in alpha]
-            images = list(map(rule, words))
-            lens = list(map(len, images))
-            if (self.shrinking and max(lens) >= n
-                    or not all(map(str.startswith, images, parents))):
-                for wa, fwa, fw in zip(words, images, parents):
+            parents = zip(words, images)
+            words, images = [], []
+            for w, fw in parents:
+                for a in alpha:
+                    wa = w + a
+                    fwa = rule(wa)
                     if not fwa.startswith(fw):
-                        order.append(f"order violated: f({wa[:-1]!r})={fw!r} not a prefix of f({wa!r})={fwa!r}")
+                        order.append(f"order violated: f({w!r})={fw!r} not a prefix of f({wa!r})={fwa!r}")
                     if self.shrinking and len(fwa) >= n:
                         shrink.append(f"shrink violated at {wa!r}: |f| = {len(fwa)}")
-            least.append(min(lens))
+                    words.append(wa)
+                    images.append(fwa)
+            least.append(min(map(len, images)))
         bad += order + shrink
         for l in range(1, self.depth + 1):
             m = self._modulus(l)

@@ -158,8 +158,8 @@ def return_time(f: CodedMap, w: str, p: int, bound: int) -> int | None:
 
 
 class _StageState:
-    """Return-time and qualification memos for stage ``i``: elements return
-    at precision ``i - 1`` with return time at least ``i - 1``."""
+    """The qualification test of stage ``i``: elements return at precision
+    ``i - 1`` with return time at least ``i - 1``."""
 
     def __init__(self, f: CodedMap, depth: int, i: int, prev_store: frozenset[str]):
         self.f = f
@@ -168,20 +168,10 @@ class _StageState:
         self.precision = i - 1
         self.prev_store = prev_store
         self.prev_core = prefix_core(prev_store)
-        self._ret: dict[str, int | None] = {}
-
-    def ret(self, w: str) -> int | None:
-        """:func:`return_time` within the working depth, memoized unless the
-        map is a suffix map."""
-        if self.f.suffix_step:
-            return return_time(self.f, w, self.precision, self.depth)
-        if (got := self._ret.get(w, -1)) == -1:
-            got = self._ret[w] = return_time(self.f, w, self.precision, self.depth)
-        return got
 
     def returns_within(self, w: str, s: int) -> bool:
-        r = self.ret(w)
-        return r is not None and r <= s
+        """``w`` has a :func:`return_time` in ``[i - 1, s]``."""
+        return return_time(self.f, w, self.precision, s) is not None
 
     def qualifies(self, w: str, s: int) -> bool:
         """A proper prefix is in the previous store and ``w`` returns by ``s``."""

@@ -251,38 +251,20 @@ def validate_system(sys_: DynSystem, max_len: int | None = None) -> Report:
 
     The cap defaults to ``min(depth, 12)``; beyond it the class is too wide to
     scan and rule-level construction is trusted.  Forward invariance is tested
-    on members only, and nonemptiness at full depth always by search.
-
-    The walk calls the map's rule, as the map check does, so it leaves no
-    memo of every word behind.  It keeps, per length on its path, the image
-    and whether it is a member.  A clean map check means ``f(w)`` extends
-    ``f(w[:-1])``, so only the letters past the parent's image need the
-    child test; otherwise, or past the depth, ``member`` decides.
-    Violations sort stably by length.
+    on members only, through the map's rule, so no memo is left behind, and
+    nonemptiness at full depth always by search.  Violations sort stably by
+    length.
     """
     from .search import live_nodes
 
     space, f = sys_.space, sys_.map
     cap = min(sys_.depth, 12) if max_len is None else min(max_len, sys_.depth)
     rep = Report()
-    map_bad = f.check(cap)
-    for msg in map_bad:
+    for msg in f.check(cap):
         rep.add("map", "", msg)
     _check_nonempty(rep, space, sys_.depth)
-    step, rule = space._step, f._rule
-    path: list[tuple[str, bool]] = []  # (f(w), f(w) is a member) per length
-    left: list[tuple[str, str]] = []
-    for w in live_nodes(space, cap):
-        fw = rule(w)
-        if w and not map_bad and len(fw) <= space.depth:
-            fp, ok = path[len(w) - 1]
-            ok = ok and all(step(fw[:i]) for i in range(len(fp) + 1, len(fw) + 1))
-        else:
-            ok = space.member(fw)
-        del path[len(w):]
-        path.append((fw, ok))
-        if not ok:
-            left.append((w, fw))
+    left = [(w, fw) for w in live_nodes(space, cap)
+            if not space.member(fw := f._rule(w))]
     for w, fw in sorted(left, key=lambda v: len(v[0])):
         rep.add("forward-invariance", w, f"f({w!r}) = {fw!r} leaves the class")
     return rep

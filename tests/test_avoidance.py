@@ -127,6 +127,12 @@ class TestSigmaInvariants:
         assert good.check() == []
         assert SigmaSequence(("01",), (2,)).check()      # not a zero block
         assert SigmaSequence(("00", "111"), (2, 1)).check()  # wrong block shape
+        # each breaks one check alone: σ_2 = 0010 keeps the prefix chain and
+        # the runs but is not the block 001, and σ_1 = 00 has count 1
+        assert SigmaSequence(("00", "0010"), (2, 1)).check() == [
+            "sigma_2 != block^reps: '0010'"]
+        assert SigmaSequence(("00",), (1,)).check() == [
+            "sigma_1 length must equal its repetition count"]
 
     def test_run_content(self):
         P, _ = listed_points_class()

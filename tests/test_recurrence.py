@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from cantordyn import recurrence
 from cantordyn.errors import HorizonExhausted
 from cantordyn.maps import CodedMap, builtin_map
-from cantordyn.recurrence import (_covered, _next_level, _StageState, _store_stage,
+from cantordyn.recurrence import (CoverStage, _covered, _next_level, _StageState, _store_stage,
                                   audit_cover_stages, build_ternary_gadget,
                                   construct_recurrent_point, gadget_recurrent_equals_paths,
                                   gadget_recurrent_set, return_time)
@@ -344,13 +344,13 @@ class TestConstructRecurrentPoint:
         # a work guard that counts instead of timing: on a suffix map every
         # return time is read as an offset into the word
         calls = {"ret": 0, "open": 0, "apply_in_ret": 0}
-        real_ret, real_apply = _StageState.ret, CodedMap.apply
+        real_ret, real_apply = _StageState.returns_within, CodedMap.apply
 
-        def ret(self, w):
+        def ret(self, w, s):
             calls["ret"] += 1
             calls["open"] += 1
             try:
-                return real_ret(self, w)
+                return real_ret(self, w, s)
             finally:
                 calls["open"] -= 1
 
@@ -358,7 +358,7 @@ class TestConstructRecurrentPoint:
             calls["apply_in_ret"] += calls["open"] > 0
             return real_apply(self, w)
 
-        monkeypatch.setattr(_StageState, "ret", ret)
+        monkeypatch.setattr(_StageState, "returns_within", ret)
         monkeypatch.setattr(CodedMap, "apply", apply)
         sys_ = DynSystem(forbidden_window_class(2, 24, ["11"]), builtin_map("left-shift", 2, 24))
         _, _, stages = construct_recurrent_point(sys_, stages=4)
@@ -372,14 +372,15 @@ class TestConstructRecurrentPoint:
         # reach the stage-3 store (30,327 when it visited every word with no
         # stored prefix), so a node budget of 13,001, root included, holds;
         # it reads suffix-map return times along its path with no
-        # _StageState.ret call, and the covering scan lists each member length
-        # once, with no iter_members call (20 when it listed each candidate s)
+        # _StageState.returns_within call, and the covering scan lists each
+        # member length once, with no iter_members call (20 when it listed
+        # each candidate s)
         stores, calls, in_store = [], Counter(), [False]
-        real_ret, real_store = _StageState.ret, recurrence._store_stage
+        real_ret, real_store = _StageState.returns_within, recurrence._store_stage
 
-        def ret(self, w):
+        def ret(self, w, s):
             calls["store ret" if in_store[0] else "ret"] += 1
-            return real_ret(self, w)
+            return real_ret(self, w, s)
 
         def store(*args):
             stores.append(args[0].i)
@@ -396,7 +397,7 @@ class TestConstructRecurrentPoint:
         monkeypatch.setattr(recurrence, "_STORE_NODE_BUDGET", 13_001)
         monkeypatch.setattr(recurrence, "_store_stage", store)
         monkeypatch.setattr(recurrence, "iter_members", members)
-        monkeypatch.setattr(_StageState, "ret", ret)
+        monkeypatch.setattr(_StageState, "returns_within", ret)
         sys_ = DynSystem(forbidden_window_class(2, 24, ["11"]), builtin_map("left-shift", 2, 24))
         _, _, stages = construct_recurrent_point(sys_, stages=4)
         assert [(len(st.U), len(st.V)) for st in stages] == [
@@ -580,7 +581,7 @@ def test_covered_matches_prefix_loop(f, i, s, prev, v):
 @settings(max_examples=200, deadline=None)
 def test_suffix_return_time_matches_orbit_walk(step, i, w):
     """On a suffix map the offset return time is the least ``n ≥ i-1`` the
-    ``apply`` walk finds, and it leaves the memo empty."""
+    ``apply`` walk finds, and it makes no ``apply`` call."""
     N, p = 16, i - 1
     f = (builtin_map("left-shift", 2, N) if step == 1
          else builtin_map("column-shift", 2, N, columns=step))
@@ -597,9 +598,9 @@ def test_suffix_return_time_matches_orbit_walk(step, i, w):
                 return n
         return None
 
-    state = _StageState(f, N, i, frozenset([""]))
-    assert state.ret(w) == walk_ret()
-    assert not state._ret
+    got = return_time(f, w, p, N)
+    assert not f._memo
+    assert got == walk_ret()
 
 
 @given(store_maps(), st.integers(0, 4), st.integers(0, STORE_DEPTH),
@@ -622,6 +623,14 @@ class TestCoverAudit:
         tampered[-1] = type(bad)(bad.i, bad.s, bad.U + ("0" + "1" * 11,), bad.V)
         assert audit_cover_stages(full_shift12, stages).ok
         assert not audit_cover_stages(full_shift12, tampered).ok
+
+    def test_audit_reach_stops_at_the_stage_bound(self, full_shift12):
+        # on the shift "0001" first extends "1" at step 3 = s + 1, so it
+        # does not reach U within s; "01" does, at step 1
+        stage = CoverStage(1, 2, ("1",), ("1", "01", "0001"))
+        rep = audit_cover_stages(full_shift12, [CoverStage(0, 0, ("",), ("",)), stage])
+        assert [(c, w) for c, w, _ in rep.entries if c == "cover-reach"] == [
+            ("cover-reach", "0001")]
 
     def test_prefix_lookups_match_linear_scans(self, full_shift12):
         # on tampered stages the audit reports exactly what scanning every

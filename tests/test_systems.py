@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from cantordyn.errors import DepthExceeded
 from cantordyn.maps import CodedMap, builtin_map
 from cantordyn.minimal import HaltingSim, build_bit_coder, product_system
+from cantordyn.recurrence import construct_recurrent_point
 from cantordyn.search import (OrbitAvoidance, avoidance_class, death_length,
                               find_member, iter_members, live_nodes)
 from cantordyn.systems import (APCert, APRow, DynSystem, PointApprox, RecCert,
@@ -138,6 +139,13 @@ class TestRecurrenceCerts:
     def test_rejects_l_not_above_c(self, full_shift12):
         X = full_shift12.point("0" * 12)
         assert not verify_recurrence(X, RecCert(((3, 1, 3),)))
+
+    def test_rejects_a_zero_return_time(self, full_shift12):
+        # f^0(X↾l) = X↾l extends X↾c for every row, so n = 0 proves nothing
+        X, cert, _ = construct_recurrent_point(full_shift12, stages=3, c_max=2)
+        assert verify_recurrence(X, cert)
+        (c, _, l), *rest = cert.entries
+        assert not verify_recurrence(X, RecCert(((c, 0, l), *rest)))
 
 
 def reference_ap_row(X, c, b):
@@ -481,7 +489,7 @@ def test_memo_of_a_memo_is_itself():
     assert memo is not base and memo_class(memo) is memo
 
 
-# -- validation in one pass, against the loop it replaced --------------------
+# -- validation against the listed loop ---------------------------------------
 
 def listed_validate(sys_, cap):
     """``validate_system`` with forward invariance tested the listed way: the
@@ -504,7 +512,7 @@ def listed_validate(sys_, cap):
 def validated_systems(draw):
     """A forbidden-window, explicit or stagewise class at depth ≤ 7 under the
     shift, the 2-column shift, a random normalized table, or such a table
-    changed so that it breaks order (the ``member`` path)."""
+    changed so that it breaks order."""
     depth = draw(st.integers(1, 7))
     cls, _, _ = draw(base_classes(depth=depth))
     kind = draw(st.sampled_from(["shift", "column-shift", "table", "broken"]))

@@ -251,7 +251,7 @@ def test_random_maps_are_valid(rng):
         assert m.check() == []
 
 
-# -- the one-pass table check, against the three scans it replaced ----------
+# -- the table check, against three separate scans ---------------------------
 
 def three_scan_check(m, cap):
     """``CodedMap.check`` as three separate scans: order on every one-letter
