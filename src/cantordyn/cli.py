@@ -110,6 +110,9 @@ class SystemSpec:
         if kind == "stagewise":
             rem = [(_int(s, f"tree.removals[{i}]"), _word(w, k, f"tree.removals[{i}]"))
                    for i, s, w in _pairs(_field(self.tree, "removals", "tree"), "tree.removals")]
+            for i, (s, _) in enumerate(rem):
+                if s < 0:
+                    raise SpecFormatError(f"removal stage {s} must be at least 0", f"tree.removals[{i}]")
             return stagewise_class(k, depth, rem, self.stage_horizon)
         raise SpecFormatError(f"unknown tree kind {kind!r}", "tree.kind")
 
@@ -354,7 +357,9 @@ def cmd_dodge(args, spec: SystemSpec):
     else:
         sig = out.sigma
         sig_bad = sig.check() if sig else []
-        b_max = len(sig.sigmas) if (sig and not out.degenerate_probe) else args.sigma_stages
+        # a degenerate probe shows runs of at most depth − 1 letters past its first
+        b_max = (len(sig.sigmas) if (sig and not out.degenerate_probe)
+                 else min(args.sigma_stages, P.depth - 1))
         not_ap = avd.verify_not_ap(out.hat_class, max(1, b_max))
         ok = not sig_bad and not_ap
         outcome = {"case": "hat",

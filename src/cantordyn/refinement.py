@@ -301,13 +301,14 @@ def least_element_forcing(sys_: DynSystem, phi: Phi1Predicate
 
     Outcome ``("empty", None)``: no member of the child has any witness.
     Outcome ``("least", b)``: every full-depth member's least witness is b.
-    The bound ``b`` is the least one whose request ``O(<= b)`` is met.
+    The bound ``b`` is the least one whose request ``O(<= b)`` is met: τ is
+    in it when ``least(τ)``, the least ``m ≤ N`` with ``φ(m, τ)``, is ``≤ b``.
     """
     N = sys_.depth
-    phi_at = functools.cache(phi)
+    least = functools.cache(lambda tau: next((m for m in range(N + 1) if phi(m, tau)), N + 1))
 
-    def o_le(n: int) -> Callable[[str], bool]:
-        return lambda tau: any(phi_at(m, tau) for m in range(n + 1))
+    def o_le(b: int) -> Callable[[str], bool]:
+        return lambda tau: least(tau) <= b
 
     for b in range(N + 1):
         ref, case = meet_or_avoid(sys_, PredicateRequest(f"O(<= {b})", o_le(b)))

@@ -7,27 +7,24 @@ Python's recursion limit does not bound the working depth.  A search is
 narrowed only by restricting its class: ``restrict_class`` and
 ``cylinder_class`` in :mod:`cantordyn.systems`, and :func:`avoidance_class`.
 
-Avoidance conditions provide a full check ``ok(word)`` and an incremental
-``ok_extension(word)`` that may assume every proper prefix of the word already
-passed (valid along DFS paths).  A full check is one :meth:`CodedMap.hit_time`
-walk, testing each iterate by a lookup per forbidden length or by a cached
-predicate scan.  :class:`OrbitAvoidance` is the one finite-set orbit-avoidance
-condition: a fixed forbidden set is a stagewise request whose words all switch
-on at stage 0, and once every word is on, a request takes the same incremental
-paths.  For pure suffix maps
-(``f(σ) = σ[s:]``) the incremental form only compares the windows that end at
-the new letter.  For variable-drop maps (:attr:`CodedMap.drop`, which every
-piecewise iterate of a suffix map carries) the orbit of a word is a chain of
-offsets into it, kept per length along the search path by
-:class:`DropChain`; a one-letter extension then only adds the windows that
-end at the new letter or start at the one offset the extension may add to
-the chain.
+:class:`OrbitAvoidance` is the one orbit-avoidance condition.  Its forbidden
+words switch on in stages (a request), all at stage 0 (a fixed set), or are
+every word a predicate accepts (:class:`PredicateAvoidance`).  Its full check
+``ok(word)`` is one :meth:`CodedMap.hit_time` walk; its incremental
+``ok_extension(word)`` may assume that every proper prefix of the word
+passed (valid along DFS paths), and once every word is on it compares only
+the windows a one-letter extension adds to the orbit.  Under a suffix map
+(``f(σ) = σ[s:]``) those end at the new letter.  Under a variable-drop map
+(:attr:`CodedMap.drop`, which every piecewise iterate of a suffix map
+carries) the orbit is a chain of offsets into the word, kept per length
+along the search path by :class:`DropChain`, and the new windows also start
+at the one offset the extension may add to the chain.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import Callable, Container, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .maps import CodedMap
 from .systems import ClosedClass, restrict_class
@@ -90,17 +87,17 @@ class DropChain:
         self._path[L] = (word, mask, f)
         return mask, new
 
-    def new_hit(self, word: str, lens: Sequence[int], words: Container[str]) -> bool:
-        """Whether a window of the orbit of ``word`` that the orbit of
-        ``word[:-1]`` lacks is in ``words`` (of the given lengths): one that
-        ends at the new letter, or one that starts at the added offset."""
+    def new_hit(self, word: str, lens: Sequence[int], hit: Callable[[str], bool]) -> bool:
+        """Whether ``hit`` holds on a window of the orbit of ``word`` that the
+        orbit of ``word[:-1]`` lacks (of the given lengths): one that ends at
+        the new letter, or one that starts at the added offset."""
         mask, new = self._advance(word)
         L = len(word)
         for t in lens:
             p = L - t
-            if p >= 0 and mask >> p & 1 and word[p:] in words:
+            if p >= 0 and mask >> p & 1 and hit(word[p:]):
                 return True
-            if 0 <= new <= p and word[new:new + t] in words:
+            if 0 <= new <= p and hit(word[new:new + t]):
                 return True
         return False
 
@@ -113,23 +110,23 @@ class OrbitAvoidance:
     normalized maps.
 
     The incremental check needs every word switched on, so words no longer
-    than the last stage get the full check.
+    than the last stage get the full check; it then tests windows with
+    ``_forbidden``, membership in the forbidden set.
     """
 
-    __slots__ = ("map", "stage", "lens", "_last_stage", "_suffix", "_chain")
+    __slots__ = ("map", "stage", "lens", "_last_stage", "_forbidden", "_suffix", "_chain")
 
     def __init__(self, map_: CodedMap, forbidden: Iterable[str] | Mapping[str, int]):
         self.map = map_
         self.stage = (dict(forbidden) if isinstance(forbidden, Mapping)
                       else dict.fromkeys(forbidden, 0))
         self.lens = sorted({len(w) for w in self.stage})
+        self._forbidden = self.stage.__contains__
         self._last_stage = max(self.stage.values(), default=0)
         self._suffix = map_.suffix_step if map_.suffix_step else None
         self._chain = DropChain(map_.drop) if map_.drop else None
 
     def ok(self, word: str) -> bool:
-        if not self.lens:
-            return True
         L, stage, lens = len(word), self.stage, self.lens
         return self.map.hit_time(
             word, lambda cur: any(stage.get(cur[:t], L + 1) <= L for t in lens), 0, L) is None
@@ -142,32 +139,32 @@ class OrbitAvoidance:
         if s is None:
             if self._chain is None:
                 return self.ok(word)
-            return not self._chain.new_hit(word, self.lens, self.stage)
+            return not self._chain.new_hit(word, self.lens, self._forbidden)
+        hit = self._forbidden
         for t in self.lens:
             off = L - t
-            if off >= 0 and off % s == 0 and word[off:] in self.stage:
+            if off >= 0 and off % s == 0 and hit(word[off:]):
                 return False
         return True
 
 
-class PredicateAvoidance:
+class PredicateAvoidance(OrbitAvoidance):
     """Avoidance of every word satisfying a predicate: ``∀n ≤ |σ|`` no prefix
-    of ``f^n(σ)`` satisfies it.  Used by the Δ₁-forcing constructions, where
-    the forbidden set is given by a formula instead of a list."""
+    of ``f^n(σ)`` satisfies it, for the Δ₁-forcing constructions.  The
+    forbidden set is every satisfying word up to the depth, on at stage 0; the
+    full check caches per word whether a prefix satisfies the predicate."""
 
-    __slots__ = ("map", "pred", "_word_hit")
+    __slots__ = ("_word_hit",)
+    ok_extension = OrbitAvoidance.ok_extension  # own binding, as RequestAvoidance's
 
-    def __init__(self, map_: CodedMap, pred):
-        self.map = map_
-        self.pred = pred
+    def __init__(self, map_: CodedMap, pred: Callable[[str], bool]):
+        super().__init__(map_, ())
+        self.lens, self._forbidden = range(map_.depth + 1), pred
         self._word_hit = functools.cache(
             lambda w: any(pred(w[:t]) for t in range(len(w) + 1)))
 
     def ok(self, word: str) -> bool:
         return self.map.hit_time(word, self._word_hit, 0, len(word)) is None
-
-    def ok_extension(self, word: str) -> bool:
-        return self.ok(word)
 
 
 def live_nodes(space: ClosedClass, cap: int) -> Iterator[str]:

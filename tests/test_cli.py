@@ -202,6 +202,24 @@ class TestCommands:
         assert code == 0 and rep["outcome"]["case"] == "orbit"
         assert rep["outcome"]["generator"] == "1"
 
+    @pytest.mark.parametrize("stages", [7, 8, 9])
+    def test_dodge_sigma_stages_past_the_depth(self, tmp_path, stages):
+        # the degenerate probe 10000000 shows runs of at most 7 letters past
+        # its first, so the gap scan asks for no longer run than that
+        p = tmp_path / "full-8.json"
+        p.write_text(json.dumps(dict(GOLDEN, depth=8, tree={"kind": "full"})))
+        code, rep = run_to_json(["dodge", str(p), "--sigma-stages", str(stages)],
+                                tmp_path, "d.json")
+        assert code == 0 and rep["outcome"]["degenerate_probe"] == "10000000"
+        assert rep["outcome"]["verify_not_ap"] is True
+
+    def test_dodge_sigma_stages_past_the_depth_orbit_case(self, tmp_path):
+        p = tmp_path / "zeros-8.json"
+        p.write_text(json.dumps(dict(GOLDEN, depth=8, tree={"kind": "explicit_nodes",
+                                                            "nodes": ["0" * 8]})))
+        code, rep = run_to_json(["dodge", str(p), "--sigma-stages", "20"], tmp_path, "d.json")
+        assert code == 0 and rep["outcome"]["case"] == "orbit"
+
     def test_meet_avoid(self, golden_spec, requests_file, tmp_path):
         code, rep = run_to_json(["meet-avoid", golden_spec, "--requests", requests_file],
                                 tmp_path, "ma.json")
@@ -336,13 +354,17 @@ class TestCommands:
         (dict(GOLDEN, stage_horizon=True), "stage_horizon"),
         (dict(GOLDEN, map={"kind": "column_shift", "columns": 1.5}), "map.columns"),
         (dict(GOLDEN, map=dict(PIECEWISE, j=[["0", 1], ["1", 2.0]])), "map.j[1]"),
+        (dict(GOLDEN, stage_horizon=2, tree={"kind": "stagewise",
+                                             "removals": [[0, "0"], [-1, "11"]]}),
+         "tree.removals[1]"),
     ], ids=["no-words", "no-columns", "alphabet-x", "letter-2", "no-removals",
             "stage-x", "no-entries", "table-partial", "no-base", "exponent-x",
             "exponent-missing", "exponent-range", "bound-zero", "j-short", "j-long",
             "j-string", "j-not-list", "entry-short", "removal-short", "spec-not-object",
             "tree-not-object", "map-not-object", "base-not-object", "words-number",
             "words-string", "node-number", "empty-forbidden-word", "horizon-negative",
-            "depth-float", "depth-string", "horizon-bool", "columns-float", "exponent-float"])
+            "depth-float", "depth-string", "horizon-bool", "columns-float", "exponent-float",
+            "removal-stage-negative"])
     def test_malformed_spec_exit_code(self, tmp_path, capsys, spec, location):
         p = tmp_path / "bad.json"
         p.write_text(json.dumps(spec))

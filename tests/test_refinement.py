@@ -1,6 +1,7 @@
 import gc
 import random
 from collections import Counter
+from unittest import mock
 
 import pytest
 from conftest import FIBONACCI, THUE_MORSE, fixed_point_factors, random_normalized_map
@@ -8,7 +9,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cantordyn import refinement
-from cantordyn.errors import HorizonExhausted, ModulusExhausted
+from cantordyn.cli import PHI_REGISTRY
+from cantordyn.errors import CantorDynError, HorizonExhausted, ModulusExhausted
 from cantordyn.maps import CodedMap, builtin_map
 from cantordyn.refinement import (NbhResult, OpenRequest, Phi1Predicate,
                                   PiecewiseIterate, Refinement, check_piecewise_samples,
@@ -418,6 +420,89 @@ class TestLeastElementForcing:
         assert kind == "least"
         for w in iter_members(r.child.space, N):
             assert min(m for m in range(N) if w[m] == "1") == b
+
+    @pytest.mark.parametrize("name", ["one-at", "prefix-one"])
+    def test_golden_mean_64_makes_no_apply_calls(self, name, monkeypatch):
+        # a work guard that counts instead of timing: under the shift every
+        # avoidance check compares windows of the word itself
+        calls = Counter()
+        apply = CodedMap.apply
+
+        def counting(self, word):
+            calls[self.name] += 1
+            return apply(self, word)
+
+        monkeypatch.setattr(CodedMap, "apply", counting)
+        gm = DynSystem(forbidden_window_class(2, 64, ["11"]), shift(64))
+        phi = Phi1Predicate(name, PHI_REGISTRY[name])
+        assert least_element_forcing(gm, phi)[1] == ("empty", None)
+        assert not calls
+
+
+# predicates on a drawn word p.  Under the shift a witness at m in τ is one at
+# 0 in f^m(τ), so starts-at mostly forces b = 0; starts-past bounds m below by
+# |p|, and past-length puts every least witness at |p|, which may be past the
+# depth
+DRAWN_WORD_PHI = {
+    "starts-at": lambda m, tau, p: tau[m:].startswith(p),
+    "starts-past": lambda m, tau, p: m >= len(p) and tau[m:].startswith(p),
+    "past-length": lambda m, tau, p: m >= len(p),
+}
+
+
+@st.composite
+def forcing_inputs(draw):
+    """A system of depth 2–8 (an SFT or a periodic orbit under the shift,
+    or the full class under a random normalized map) with a predicate: one of
+    the registry's three, which ignore the drawn word, or one on the drawn
+    word, whose least witness can be past 0."""
+    depth = draw(st.integers(2, 8))
+    kind = draw(st.sampled_from(["sft", "orbit", "table"]))
+    if kind == "sft":
+        forb = draw(st.lists(st.text(alphabet="01", min_size=2, max_size=3), min_size=1, max_size=3))
+        sys_ = DynSystem(forbidden_window_class(2, depth, forb), shift(depth))
+    elif kind == "orbit":
+        gen = draw(st.text(alphabet="01", min_size=1, max_size=4))
+        sys_ = DynSystem(orbit_class(gen, 2, depth), shift(depth))
+    else:
+        rng = random.Random(draw(st.integers(0, 2 ** 31 - 1)))
+        sys_ = DynSystem(full_class(2, depth), random_normalized_map(2, depth, rng))
+    # the least witnesses past 0 first: draws shrink toward the first name
+    name = draw(st.sampled_from(sorted(DRAWN_WORD_PHI, reverse=True) + sorted(PHI_REGISTRY)))
+    word = draw(st.text(alphabet="01", min_size=1, max_size=3))
+    first = find_member(sys_.space, depth)
+    if first and draw(st.booleans()):  # a factor of a member
+        i = draw(st.integers(0, depth - 1))
+        word = first[i:i + len(word)]
+    return sys_, Phi1Predicate(name, {**PHI_REGISTRY, **DRAWN_WORD_PHI}[name], word)
+
+
+@given(forcing_inputs())
+@settings(max_examples=200, deadline=None)
+def test_least_witness_is_the_largest_orbit_minimum(inputs):
+    """``B`` is the largest, over full-depth members σ, of the least
+    ``least(τ)`` over the prefixes τ of ``f^n(σ)``, ``n ≤ N``: avoiding
+    ``O(<= b)`` keeps σ iff that minimum exceeds b, so ``O(<= B)`` is the
+    first request met.  A typed error may end the meet at ``B`` (a modulus
+    past the depth, or a carve that empties), but only there."""
+    sys_, phi = inputs
+    N, f = sys_.depth, sys_.map
+
+    def least(tau):
+        return next((m for m in range(N + 1) if phi(m, tau)), N + 1)
+
+    members = iter_members(sys_.space, N)
+    assume(members)
+    B = max(min(least(u[:t]) for u in f.orbit(w, N) for t in range(len(u) + 1))
+            for w in members)
+    with mock.patch.object(refinement, "meet_or_avoid", wraps=meet_or_avoid) as spy:
+        try:
+            outcome = least_element_forcing(sys_, phi)[1]
+        except CantorDynError:
+            outcome = "error"
+    asked = [c.args[1].name for c in spy.call_args_list]
+    assert asked == [f"O(<= {b})" for b in range(min(B, N) + 1)]
+    assert outcome in ([("empty", None)] if B > N else [("least", B), "error"])
 
 
 class TestNbhPeriodicity:

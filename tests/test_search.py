@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 from cantordyn.maps import builtin_map
 from cantordyn.refinement import OpenRequest, PiecewiseIterate, RequestAvoidance
-from cantordyn.search import (OrbitAvoidance, avoidance_class, death_length,
-                              find_member, iter_members)
+from cantordyn.search import (OrbitAvoidance, PredicateAvoidance, avoidance_class,
+                              death_length, find_member, iter_members)
 from cantordyn.systems import forbidden_window_class, full_class, restrict_class
 from cantordyn.words import all_words, words_up_to
 
@@ -59,7 +59,8 @@ stage_entries = st.lists(st.tuples(st.integers(0, DEPTH + 1), words), min_size=1
 
 
 def _avoidances(m, forbidden, entries):
-    return [OrbitAvoidance(m, forbidden), RequestAvoidance(m, OpenRequest("r", tuple(entries)))]
+    return [OrbitAvoidance(m, forbidden), RequestAvoidance(m, OpenRequest("r", tuple(entries))),
+            PredicateAvoidance(m, set(forbidden).__contains__)]
 
 
 def _checked_search(step):
@@ -121,6 +122,26 @@ def test_request_ok_matches_definition(m, entries):
         assert av.ok(w) == want, w
 
 
+@given(avoidance_maps, words, st.integers(0, 3))
+@settings(max_examples=80, deadline=None)
+def test_predicate_ok_matches_definition(m, v, b):
+    """A threshold predicate, as least-witness forcing builds them: τ is
+    forbidden when the least ``i`` with ``τ[i:]`` starting with ``v`` is at
+    most ``b``."""
+    def least(tau):
+        return next((i for i in range(len(tau) + 1) if tau[i:].startswith(v)), len(tau) + 1)
+
+    def pred(tau):
+        return least(tau) <= b
+
+    av = PredicateAvoidance(m, pred)
+    for w in words_up_to(2, DEPTH):
+        want = not any(pred(m.iterate(w, n)[:t])
+                       for n in range(len(w) + 1) for t in range(len(w) + 1))
+        assert av.ok(w) == want, w
+    _checked_search(_Checked(av).ok_extension)
+
+
 class _Agree:
     """Runs two avoidances and asserts they agree on both checks."""
 
@@ -140,6 +161,19 @@ def test_static_request_equals_forbidden_set(m, forbidden):
     a = OrbitAvoidance(m, forbidden)
     b = RequestAvoidance(m, OpenRequest.static("r", forbidden))
     _checked_search(_Agree(a, b).ok_extension)
+
+
+@given(avoidance_maps, forbidden_sets)
+@settings(max_examples=120, deadline=None)
+def test_predicate_of_a_set_equals_forbidden_set(m, forbidden):
+    a = PredicateAvoidance(m, set(forbidden).__contains__)
+    b = OrbitAvoidance(m, forbidden)
+    _checked_search(_Agree(a, b).ok_extension)
+
+
+def test_predicate_avoidance_shares_the_incremental_check():
+    assert issubclass(PredicateAvoidance, OrbitAvoidance)
+    assert PredicateAvoidance.ok_extension is OrbitAvoidance.ok_extension
 
 
 def test_request_avoidance_shares_the_checks():
